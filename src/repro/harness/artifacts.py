@@ -124,13 +124,9 @@ class ArtifactUnavailable(Exception):
 
 def artifact_key(kind: str, parent_key: str) -> str:
     """The plane key for one bundle: chained from the owning stage key
-    plus the bundle schema, the active kernel backend (a backend bug
-    must never masquerade as a plane hit — same rule as the analysis
-    stage), and the salt of the code that writes/reads bundles."""
-    from repro import kernels
-
+    plus the bundle schema and the salt of the code that writes/reads
+    bundles."""
     return stable_hash("artifact", kind, parent_key, ARTIFACT_SCHEMA,
-                       kernels.backend_fingerprint(),
                        code_salt("kernels", "harness.artifacts"))
 
 

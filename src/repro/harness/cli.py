@@ -137,8 +137,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                         retry_backoff=defaults.retry_backoff,
                         partial=args.partial or defaults.partial,
                         backend=args.backend,
-                        artifacts=not args.no_artifacts,
-                        batch_cells=defaults.batch_cells)
+                        artifacts=not args.no_artifacts)
 
 
 def _experiments_main(argv: List[str]) -> int:
@@ -666,9 +665,7 @@ def _cache_main(argv: List[str]) -> int:
         stats = cache.stats()
         total = stats.pop("total")
         print("cache root: %s" % cache.root)
-        print("active backend: %s (%s)" %
-              (kernels.default_backend_name(),
-               kernels.backend_fingerprint()))
+        print("active backend: %s" % kernels.default_backend_name())
         for stage in sorted(stats):
             bucket = stats[stage]
             print("  %-10s %6d entries  %10.1f KiB" %

@@ -112,15 +112,13 @@ class EngineConfig:
     #: continue with the surviving cells, instead of aborting the sweep
     partial: bool = False
     #: kernel backend name ("" = env/default resolution, see
-    #: :mod:`repro.kernels`); salted into analysis/paths/timing keys
+    #: :mod:`repro.kernels`); not part of any cache key, because
+    #: backends are byte-identical by contract
     backend: str = ""
     #: enable the mmap-backed columnar artifact plane (second cache
     #: tier, :mod:`repro.harness.artifacts`); requires ``cache`` and a
     #: little-endian host, silently off otherwise
     artifacts: bool = True
-    #: group prefetch cells that share a workload into one worker task
-    #: so the cell's trace/analysis materialize once per batch
-    batch_cells: bool = True
 
 
 def _env_int(name: str, default: str) -> int:
@@ -145,10 +143,10 @@ def config_from_env() -> EngineConfig:
     """Engine defaults, overridable through environment variables
     (``REPRO_JOBS``, ``REPRO_CACHE=0``, ``REPRO_CACHE_DIR``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
-    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``,
-    ``REPRO_BATCH_CELLS=0``) so embeddings like pytest
-    pick them up without plumbing flags.  Malformed numeric values
-    raise ``ValueError`` naming the offending variable."""
+    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``)
+    so embeddings like pytest pick them up without plumbing flags.
+    Malformed numeric values raise ``ValueError`` naming the offending
+    variable."""
     return EngineConfig(
         jobs=_env_int("REPRO_JOBS", "1"),
         cache=os.environ.get("REPRO_CACHE", "1") != "0",
@@ -159,7 +157,6 @@ def config_from_env() -> EngineConfig:
         partial=os.environ.get("REPRO_PARTIAL", "0") == "1",
         backend=os.environ.get("REPRO_BACKEND", ""),
         artifacts=os.environ.get("REPRO_ARTIFACTS", "1") != "0",
-        batch_cells=os.environ.get("REPRO_BATCH_CELLS", "1") != "0",
     )
 
 
@@ -343,8 +340,7 @@ def _compute_cell_payload(spec: CellSpec,
             "injected worker crash in cell %s" % spec.describe())
     if config.backend:
         # Pool workers may be spawned (not forked): pin the kernel
-        # backend from the config so workers and parent always agree
-        # with the backend salt in the keys below.
+        # backend from the config so workers and parent always agree.
         kernels.set_default_backend(config.backend)
     if cache is None and config.cache:
         cache = CacheDir(config.cache_dir)
@@ -422,11 +418,7 @@ def _compute_cell_payload(spec: CellSpec,
     n = trace_bundle.n if trace_bundle is not None else len(pcs)
 
     # -- analysis -----------------------------------------------------
-    # The backend fingerprint keeps entries produced under different
-    # kernel backends apart (contents are byte-identical by contract,
-    # but a backend bug must never masquerade as a cache hit).
     analysis_key = stable_hash("analysis", trace_key,
-                               kernels.backend_fingerprint(),
                                stage_salt("analysis"))
     started = time.perf_counter()
     a_key = (artifacts.artifact_key("analysis", analysis_key)
@@ -667,8 +659,7 @@ def _simulate_key(trace_key: str, machine_config: MachineConfig,
                   analysis: Optional[DeadnessAnalysis]) -> str:
     fingerprint = _analysis_fingerprint(analysis) if analysis else "-"
     parts = ["timing", trace_key, machine_config.to_key(),
-             fingerprint, kernels.backend_fingerprint(),
-             stage_salt("timing")]
+             fingerprint, stage_salt("timing")]
     # Observed simulations carry their timeline inside the cached
     # result; keep them apart from plain entries (and from other
     # sampling configurations).
@@ -742,8 +733,7 @@ class Engine:
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config if config is not None else config_from_env()
-        if self.config.backend:
-            kernels.set_default_backend(self.config.backend)
+        kernels.set_default_backend(self.config.backend or None)
         self.cache: Optional[CacheDir] = (
             CacheDir(self.config.cache_dir) if self.config.cache
             else None)
@@ -1037,9 +1027,9 @@ class Engine:
         or disk; any prefetch failure silently falls back."""
         if self.config.jobs <= 1:
             return
-        #: cell -> (spec, pending machine configs); with batched
-        #: dispatch each group becomes ONE worker task that
-        #: materializes the cell once and runs every simulation
+        #: cell -> (spec, pending machine configs); each group
+        #: becomes ONE worker task that materializes the cell once
+        #: and runs every simulation
         grouped: Dict[str, Tuple[CellSpec, List[MachineConfig]]] = {}
         order: List[str] = []
         for run, machine_config in items:
@@ -1065,15 +1055,9 @@ class Engine:
                          EngineConfig, Tuple[str, ...], "object"]] = []
         for label in order:
             cell_spec, machine_configs = grouped[label]
-            if self.config.batch_cells:
-                batches = [tuple(machine_configs)]
-            else:
-                batches = [(machine_config,)
-                           for machine_config in machine_configs]
-            for batch in batches:
-                todo.append((cell_spec, batch, self.config,
-                             faults.draw_cell_faults(pool=True),
-                             obs_config))
+            todo.append((cell_spec, tuple(machine_configs), self.config,
+                         faults.draw_cell_faults(pool=True),
+                         obs_config))
         workers = min(self.config.jobs, len(todo))
         context = _pool_context()
         with context.Pool(processes=workers) as pool:
@@ -1104,7 +1088,6 @@ class Engine:
             return compute_paths(run.trace, statics,
                                  path_bits=path_bits)
         key = stable_hash("paths", trace_key, str(path_bits),
-                          kernels.backend_fingerprint(),
                           stage_salt("paths"))
         started = time.perf_counter()
         cached = self.cache.load("paths", key)
@@ -1143,9 +1126,7 @@ class Engine:
             "retries": self.config.retries,
             "partial": self.config.partial,
             "backend": kernels.default_backend_name(),
-            "backend_fingerprint": kernels.backend_fingerprint(),
             "artifacts": self.plane is not None,
-            "batch_cells": self.config.batch_cells,
         }
 
     def robustness(self) -> Dict[str, object]:

@@ -7,18 +7,16 @@ columns, behind a backend registry:
 
 * ``python``  — the reference backend (:mod:`repro.kernels.ref`), the
   byte-exact port of the original per-consumer loops;
-* ``batched`` — bulk column operations (:mod:`repro.kernels.batched`),
-  byte-identical by contract and enforced by the property suite;
 * ``columnar`` — NumPy array operations
   (:mod:`repro.kernels.columnar`); registered only when the optional
-  NumPy dependency is importable (``HAVE_NUMPY``), same byte-identity
-  contract.
+  NumPy dependency is importable (``HAVE_NUMPY``), byte-identical to
+  ``python`` by contract and enforced by the property suite.
 
 Select a backend with ``REPRO_BACKEND=<name>``, the engine's
 ``--backend`` flag / :class:`~repro.harness.engine.EngineConfig`, or
-:func:`set_default_backend`.  The active backend is salted into the
-engine's cache keys (:func:`backend_fingerprint`) so entries never
-collide across backends.  See ``docs/architecture.md`` for the layer
+:func:`set_default_backend`.  Because backends are byte-identical, the
+engine's cache keys do not name the active backend: a backend switch
+reuses every cached entry.  See ``docs/architecture.md`` for the layer
 diagram and the backend contract.
 
 Module-level helpers bind the kernels to the repo's concrete types:
@@ -42,7 +40,6 @@ from repro.kernels.base import (
     PredictionStream,
     StaticCounts,
     available_backends,
-    backend_fingerprint,
     default_backend_name,
     get_backend,
     pass_totals,
@@ -50,12 +47,10 @@ from repro.kernels.base import (
     reset_pass_totals,
     set_default_backend,
 )
-from repro.kernels.batched import BatchedBackend
 from repro.kernels.columnar import HAVE_NUMPY
 from repro.kernels.ref import PythonBackend
 
 register_backend(PythonBackend())
-register_backend(BatchedBackend())
 if HAVE_NUMPY:
     from repro.kernels.columnar import ColumnarBackend
 
@@ -72,7 +67,6 @@ __all__ = [
     "PredictionStream",
     "StaticCounts",
     "available_backends",
-    "backend_fingerprint",
     "decode",
     "default_backend_name",
     "get_backend",

@@ -53,7 +53,6 @@ __all__ = [
     "PredictionStream",
     "StaticCounts",
     "available_backends",
-    "backend_fingerprint",
     "default_backend_name",
     "get_backend",
     "pass_totals",
@@ -375,7 +374,7 @@ def available_backends() -> Tuple[str, ...]:
 def set_default_backend(name: Optional[str]) -> None:
     """Pin the process-default backend (``None`` restores env/default
     resolution).  The harness engine applies its configured backend
-    here so pool workers and cache keys always agree."""
+    here so pool workers and the parent always agree."""
     global _DEFAULT
     if name:
         if name not in _BACKENDS:
@@ -401,10 +400,3 @@ def get_backend(name: Optional[str] = None) -> KernelBackend:
         raise KeyError("unknown kernel backend %r (have: %s)" %
                        (resolved, ", ".join(available_backends())))
     return backend
-
-
-def backend_fingerprint(name: Optional[str] = None) -> str:
-    """The cache-key salt component: entries produced under different
-    backends must never collide (`docs/architecture.md`), even though
-    their contents are byte-identical by contract."""
-    return "kernel-backend:%s" % (name or default_backend_name())

@@ -3,7 +3,7 @@ micro-op table.
 
 Registered only when NumPy is importable (``HAVE_NUMPY``) — NumPy is
 an *optional* dependency; without it the registry simply never offers
-this backend and every consumer falls back to ``python``/``batched``.
+this backend and every consumer falls back to ``python``.
 
 The backward deadness dataflow is inherently sequential (every label
 depends on state mutated by younger instructions), so chasing it with

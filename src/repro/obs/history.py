@@ -126,8 +126,6 @@ def make_record(run_doc: Dict[str, object],
         "started_at": run_doc.get("started_at", "?"),
         "config": {
             "backend": engine.get("backend", "?"),
-            "backend_fingerprint": engine.get("backend_fingerprint",
-                                              ""),
             "jobs": engine.get("jobs", 1),
             "experiments": [str(entry.get("id", "?")) for entry
                             in run_doc.get("experiments") or []],

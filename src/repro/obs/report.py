@@ -251,9 +251,7 @@ def render_report(run_doc: Dict[str, object],
         totals.get("wall_s", 0.0)))
     engine = run_doc.get("engine") or {}
     if engine.get("backend"):
-        lines.append("kernel backend: %s (%s)" % (
-            engine.get("backend", "?"),
-            engine.get("backend_fingerprint", "?")))
+        lines.append("kernel backend: %s" % engine.get("backend"))
     lines.append("")
     lines.append("-- robustness --")
     lines.append(render_robustness(run_doc))

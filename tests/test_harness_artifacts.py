@@ -44,8 +44,7 @@ from repro.workloads import get_workload
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="NumPy not installed")
 
-BACKENDS = ["python", "batched",
-            pytest.param("columnar", marks=needs_numpy)]
+BACKENDS = ["python", pytest.param("columnar", marks=needs_numpy)]
 
 KEY = "ab" + "0" * 62  # well-formed plane key (hex-shaped, sharded)
 KEY2 = "cd" + "1" * 62

@@ -18,8 +18,23 @@ from repro.workloads import get_workload
 needs_numpy = pytest.mark.skipif(
     not kernels.HAVE_NUMPY, reason="NumPy absent: columnar backend "
     "not registered (optional dependency)")
-BACKENDS = ("python", "batched",
-            pytest.param("columnar", marks=needs_numpy))
+BACKENDS = ("python", pytest.param("columnar", marks=needs_numpy))
+
+
+@pytest.fixture
+def stub_backend(monkeypatch):
+    """A copy of the reference backend registered as ``stub`` for one
+    test, so selection tests need neither NumPy nor a second shipped
+    backend."""
+    from repro.kernels.base import _BACKENDS
+    from repro.kernels.ref import PythonBackend
+
+    class StubBackend(PythonBackend):
+        name = "stub"
+
+    monkeypatch.setitem(_BACKENDS, "stub", StubBackend())
+    yield "stub"
+    kernels.set_default_backend(None)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +50,9 @@ def traced():
 
 class TestRegistry:
     def test_stdlib_backends_registered(self):
-        assert {"python", "batched"} <= set(kernels.available_backends())
+        expected = ("columnar", "python") if kernels.HAVE_NUMPY \
+            else ("python",)
+        assert kernels.available_backends() == expected
 
     def test_columnar_registered_iff_numpy(self):
         registered = "columnar" in kernels.available_backends()
@@ -50,7 +67,6 @@ class TestRegistry:
         kernels.set_default_backend(None)
         try:
             assert kernels.default_backend_name() == "columnar"
-            assert "columnar" in kernels.backend_fingerprint()
         finally:
             kernels.set_default_backend(None)
 
@@ -60,13 +76,13 @@ class TestRegistry:
         with pytest.raises(KeyError):
             kernels.set_default_backend("fortran")
 
-    def test_default_resolution_order(self, monkeypatch):
+    def test_default_resolution_order(self, monkeypatch, stub_backend):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         kernels.set_default_backend(None)
         assert kernels.default_backend_name() == "python"
-        monkeypatch.setenv("REPRO_BACKEND", "batched")
-        assert kernels.default_backend_name() == "batched"
-        assert kernels.get_backend().name == "batched"
+        monkeypatch.setenv("REPRO_BACKEND", stub_backend)
+        assert kernels.default_backend_name() == stub_backend
+        assert kernels.get_backend().name == stub_backend
         # A pinned backend beats the environment.
         kernels.set_default_backend("python")
         try:
@@ -74,11 +90,18 @@ class TestRegistry:
         finally:
             kernels.set_default_backend(None)
 
-    def test_fingerprint_names_the_backend(self):
-        assert kernels.backend_fingerprint("python") != \
-            kernels.backend_fingerprint("batched")
-        assert kernels.default_backend_name() in \
-            kernels.backend_fingerprint()
+    def test_unpinned_engine_drops_an_earlier_pin(self, monkeypatch,
+                                                 stub_backend):
+        """An engine whose config leaves ``backend`` empty restores
+        env/default resolution instead of inheriting the backend an
+        earlier engine pinned."""
+        from repro.harness.engine import Engine, EngineConfig
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        Engine(EngineConfig(cache=False, backend=stub_backend))
+        assert kernels.default_backend_name() == stub_backend
+        Engine(EngineConfig(cache=False))
+        assert kernels.default_backend_name() == "python"
 
 
 # ---------------------------------------------------------------------
@@ -226,7 +249,7 @@ class TestPassTimings:
 class TestNumpyFallback:
     def test_fallback_without_numpy(self, tmp_path):
         """With NumPy unimportable the registry must come up with only
-        the stdlib backends, ``HAVE_NUMPY`` false, and the kernels
+        the ``python`` backend, ``HAVE_NUMPY`` false, and the kernels
         still working — proved in a subprocess whose ``sys.path``
         front is a stub ``numpy`` that refuses to import."""
         (tmp_path / "numpy.py").write_text(

@@ -249,9 +249,7 @@ def _record(run_id="r1", wall=1.0, pass_seconds=0.01, items=1000,
         "run_id": run_id,
         "started_at": "2026-08-08T00:00:00",
         "argv": list(experiments),
-        "engine": {"backend": backend,
-                   "backend_fingerprint": "kernel-backend:%s" % backend,
-                   "jobs": 1},
+        "engine": {"backend": backend, "jobs": 1},
         "experiments": [{"id": name} for name in experiments],
         "totals": {"wall_s": wall, "instructions": 123,
                    "stages": {"trace": {"hits": 1, "misses": 2,

@@ -56,7 +56,7 @@ def test_block_matches_scalar(label, overrides, traced):
     assert _doc(scalar) == _doc(block)
 
 
-@pytest.mark.parametrize("name", ["python", "batched"] + (
+@pytest.mark.parametrize("name", ["python"] + (
     ["columnar"] if kernels.HAVE_NUMPY else []))
 def test_block_identical_across_backends(name, traced, monkeypatch):
     """The block front end's column source is whatever backend is
