@@ -130,8 +130,8 @@ class PredictionStream:
 
     Two position-sorted event lists replace the full-trace scan: the
     *eligible* instances (the population every dead predictor is
-    consulted on) and the conditional branches (consumed by
-    history-based designs via ``note_branch``).  A sweep builds the
+    consulted on) and the conditional branches (which feed the global
+    history of history-based designs).  A sweep builds the
     stream once per trace and every sweep point walks only the events.
     """
 

@@ -14,14 +14,16 @@ not.  A :class:`PredictorProbe` attached to an evaluation walk tracks:
   confidence-counter values, read from the table without touching the
   predictor's hot path.
 
-The probe is entirely pull-based on the predictor side: table code
-only calls :meth:`note_alloc` / :meth:`note_eviction` behind an
-``is not None`` guard, so the telemetry-off cost is one attribute test.
+The probe never sits in the predictor's hot path: each design's fused
+walk counts its positive predictions and its churn itself, and the
+evaluation hands the probe those results once per walk
+(:meth:`PredictorProbe.record_walk`), so telemetry off costs the walk
+nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["PredictorProbe", "render_hotspots", "table_health"]
 
@@ -49,11 +51,29 @@ class PredictorProbe:
         else:
             cell[3 if dead else 2] += 1
 
-    def note_alloc(self) -> None:
-        self.allocations += 1
-
-    def note_eviction(self) -> None:
-        self.evictions += 1
+    def record_walk(self, pcs: Sequence[int], deads: Sequence[bool],
+                    true_positive_pcs: Iterable[int],
+                    false_positive_pcs: Iterable[int]) -> None:
+        """Record a whole walk at once: the per-event *pcs* and dead
+        labels, plus the PC of each true and false positive.  The
+        counts equal :meth:`record` over every event in order."""
+        confusion = self.confusion
+        # Count every event as predicted live, then move each positive
+        # prediction over to its predicted-dead column.
+        for pc, dead in zip(pcs, deads):
+            cell = confusion.get(pc)
+            if cell is None:
+                cell = [0, 0, 0, 0]
+                confusion[pc] = cell
+            cell[3 if dead else 2] += 1
+        for pc in true_positive_pcs:
+            cell = confusion[pc]
+            cell[0] += 1
+            cell[3] -= 1
+        for pc in false_positive_pcs:
+            cell = confusion[pc]
+            cell[1] += 1
+            cell[2] -= 1
 
     # -- aggregation --------------------------------------------------
 

@@ -13,10 +13,10 @@
 
 :func:`compute_paths` precomputes, for every dynamic instruction, the
 predicted and the actual outcomes of its next-N branches;
-:func:`evaluate_predictor` runs any predictor over a labelled trace and
-reports accuracy (correct dead predictions / all dead predictions) and
-coverage (dead instructions identified / all dead instructions), the
-paper's two headline metrics.
+:func:`evaluate_predictor` runs a predictor's fused walk over a labelled
+trace and reports accuracy (correct dead predictions / all dead
+predictions) and coverage (dead instructions identified / all dead
+instructions), the paper's two headline metrics.
 """
 
 from repro.predictors.dead.base import DeadPredictionStats, DeadPredictor

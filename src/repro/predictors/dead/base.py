@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, NamedTuple
 
 
 @dataclass
@@ -44,6 +45,16 @@ class DeadPredictionStats:
             else:
                 self.false_positives += 1
 
+    def add_walk(self, eligible: int, dead: int, true_positives: int,
+                 false_positives: int) -> None:
+        """Add one whole walk's counters at once (what ``record`` would
+        accumulate over the walk's eligible events)."""
+        self.eligible += eligible
+        self.dead += dead
+        self.predicted_dead += true_positives + false_positives
+        self.true_positives += true_positives
+        self.false_positives += false_positives
+
     def summary(self) -> str:
         return ("eligible=%d dead=%d predicted=%d accuracy=%.1f%% "
                 "coverage=%.1f%%" % (self.eligible, self.dead,
@@ -52,29 +63,56 @@ class DeadPredictionStats:
                                      100 * self.coverage))
 
 
+class WalkOutcome(NamedTuple):
+    """What one fused walk hands back to ``evaluate_predictor``.
+
+    The positive predictions are kept as the PC of each one, in walk
+    order: their lengths are the true/false-positive counts, and with
+    the stream's per-event labels they rebuild the per-PC confusion
+    a probe reports.  Allocations and evictions count table churn (a
+    dead outcome installing a new tag; the slot held a valid one)."""
+
+    true_positive_pcs: List[int]
+    false_positive_pcs: List[int]
+    allocations: int = 0
+    evictions: int = 0
+
+
 class DeadPredictor:
     """Interface shared by all dead-instruction predictors.
 
-    ``predict`` receives the *predicted* future path (from the branch
-    predictor, as available in a real front end) and ``train`` the
-    *actual* resolved path (as available at commit).  ``index`` is the
-    dynamic instruction number; hardware predictors ignore it (only the
-    oracle uses it).
+    Each predictor exists in two equivalent forms:
 
-    ``probe`` is an optional :class:`repro.obs.introspect.PredictorProbe`
-    the table designs feed churn events (allocations, evictions) when
-    attached; it stays ``None`` outside observed evaluations, so the
-    hot path pays one ``is not None`` test on allocation only.
+    * ``predict`` / ``train``, one eligible instance at a time — the
+      form the timing core's elimination engine drives.  ``predict``
+      receives the *predicted* future path (from the branch predictor,
+      as available in a real front end) and ``train`` the *actual*
+      resolved path (as available at commit).  ``index`` is the
+      dynamic instruction number; hardware predictors ignore it (only
+      the oracle uses it).
+    * ``walk``, a whole trace's eligible events at once — the form
+      :func:`~repro.predictors.dead.evaluate.evaluate_predictor`
+      calls.  It must leave the table in exactly the state the
+      predict-then-train sequence over the same events would, and
+      report exactly the predictions that sequence would make
+      (``tests/test_predictor_walk.py`` pins the two forms against
+      each other).
     """
 
     name = "abstract"
-    probe = None
 
     def predict(self, pc: int, predicted_path: int, index: int) -> bool:
         raise NotImplementedError
 
     def train(self, pc: int, dead: bool, actual_path: int,
               index: int) -> None:
+        raise NotImplementedError
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        """Predict, then train, on every eligible event of *stream* (a
+        :class:`~repro.kernels.base.PredictionStream`) in order, with
+        the future-path signatures of *paths* (a
+        :class:`~repro.predictors.dead.paths.PathInfo`)."""
         raise NotImplementedError
 
     def storage_bits(self) -> int:

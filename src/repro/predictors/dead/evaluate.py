@@ -8,6 +8,13 @@ actual path, mirroring the lookup-at-rename / train-at-commit timing of
 the hardware scheme.  The few-hundred-instruction skew between rename
 and commit is not modelled here (the timing simulator models it); for
 steady-state accuracy/coverage it is irrelevant.
+
+Each design runs that sequence as one fused batch walk
+(:meth:`~repro.predictors.dead.base.DeadPredictor.walk`): slot, tag,
+lookup and update are inlined over the event stream with the table in
+local variables, and the walk's counters land in the statistics (and
+an attached probe) in bulk afterwards, so the walk itself makes no
+per-event call and no per-event telemetry test.
 """
 
 from __future__ import annotations
@@ -15,7 +22,11 @@ from __future__ import annotations
 from repro import kernels, obs
 from repro.analysis.liveness import DeadnessAnalysis
 from repro.kernels.base import PredictionStream
-from repro.predictors.dead.base import DeadPredictionStats, DeadPredictor
+from repro.predictors.dead.base import (
+    DeadPredictionStats,
+    DeadPredictor,
+    WalkOutcome,
+)
 from repro.predictors.dead.paths import PathInfo, compute_paths
 
 
@@ -34,8 +45,9 @@ def evaluate_predictor(analysis: DeadnessAnalysis,
     *probe* is an optional
     :class:`~repro.obs.introspect.PredictorProbe` that additionally
     records per-PC confusion counts and table churn; when telemetry is
-    on (``repro.obs``) a probe is created automatically and the
-    finished walk is registered with the active collector.
+    on (``repro.obs``) a probe is created automatically, the walk runs
+    inside a ``predict:<design>`` span, and the finished walk is
+    registered with the active collector.
 
     *stream* is the trace's per-PC event stream
     (:class:`~repro.kernels.base.PredictionStream`); by default the
@@ -45,64 +57,37 @@ def evaluate_predictor(analysis: DeadnessAnalysis,
     branches instead of the full dynamic stream.
     """
     trace = analysis.trace
-    statics = analysis.statics
     if paths is None:
-        paths = compute_paths(trace, statics)
+        paths = compute_paths(trace, analysis.statics)
     if stats is None:
         stats = DeadPredictionStats()
-    if probe is None:
-        probe = obs.new_probe()
-    if probe is not None:
-        predictor.probe = probe
     if stream is None:
         stream = kernels.prediction_stream_for(analysis)
 
-    predicted_paths = paths.predicted
-    actual_paths = paths.actual
+    collector = obs.get_collector()
+    if collector is None:
+        _account(predictor.walk(stream, paths), stream, stats, probe)
+        return stats
 
-    predict = predictor.predict
-    train = predictor.train
-    record = stats.record
-    record_probe = probe.record if probe is not None else None
-    # History-based designs consume resolved branch outcomes as the
-    # walk passes each conditional branch.
-    note_branch = getattr(predictor, "note_branch", None)
-
-    eligible_events = zip(stream.eligible_index, stream.eligible_pc,
-                          stream.eligible_dead)
-    if note_branch is None:
-        for i, pc, is_dead in eligible_events:
-            prediction = predict(pc, predicted_paths[i], i)
-            record(prediction, is_dead)
-            if record_probe is not None:
-                record_probe(pc, prediction, is_dead)
-            train(pc, is_dead, actual_paths[i], i)
-    else:
-        # Two-pointer merge: replay branch outcomes and eligible
-        # lookups in original dynamic order (the two index lists are
-        # disjoint and ascending).
-        branch_index = stream.branch_index
-        branch_taken = stream.branch_taken
-        n_branches = len(branch_index)
-        b = 0
-        for i, pc, is_dead in eligible_events:
-            while b < n_branches and branch_index[b] < i:
-                note_branch(branch_taken[b])
-                b += 1
-            prediction = predict(pc, predicted_paths[i], i)
-            record(prediction, is_dead)
-            if record_probe is not None:
-                record_probe(pc, prediction, is_dead)
-            train(pc, is_dead, actual_paths[i], i)
-        while b < n_branches:
-            note_branch(branch_taken[b])
-            b += 1
-
-    if probe is not None:
-        predictor.probe = None
-        collector = obs.get_collector()
-        if collector is not None:
-            collector.add_probe(trace.program.name, predictor.name,
-                                probe, predictor)
-
+    workload = trace.program.name
+    if probe is None:
+        probe = obs.new_probe()
+    with collector.tracer.span("predict:%s" % predictor.name,
+                               workload=workload, events=stream.n_events):
+        _account(predictor.walk(stream, paths), stream, stats, probe)
+        collector.add_probe(workload, predictor.name, probe, predictor)
     return stats
+
+
+def _account(outcome: WalkOutcome, stream: PredictionStream,
+             stats: DeadPredictionStats, probe) -> None:
+    """Add one walk's counters to *stats* and, if given, *probe*."""
+    dead = stream.eligible_dead
+    stats.add_walk(len(dead), sum(dead), len(outcome.true_positive_pcs),
+                   len(outcome.false_positive_pcs))
+    if probe is not None:
+        probe.record_walk(stream.eligible_pc, dead,
+                          outcome.true_positive_pcs,
+                          outcome.false_positive_pcs)
+        probe.allocations += outcome.allocations
+        probe.evictions += outcome.evictions

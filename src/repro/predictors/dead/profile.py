@@ -22,7 +22,7 @@ from typing import Set
 
 from repro import kernels
 from repro.analysis.liveness import DeadnessAnalysis
-from repro.predictors.dead.base import DeadPredictor
+from repro.predictors.dead.base import DeadPredictor, WalkOutcome
 
 
 class ProfileDeadPredictor(DeadPredictor):
@@ -54,6 +54,14 @@ class ProfileDeadPredictor(DeadPredictor):
     def train(self, pc: int, dead: bool, actual_path: int,
               index: int) -> None:
         pass  # the profile is fixed at "compile time"
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        always_dead = self.always_dead
+        predicted = [(pc, dead) for pc, dead in
+                     zip(stream.eligible_pc, stream.eligible_dead)
+                     if pc in always_dead]
+        return WalkOutcome([pc for pc, dead in predicted if dead],
+                           [pc for pc, dead in predicted if not dead])
 
     def storage_bits(self) -> int:
         return 0  # encoded in the binary, no hardware state

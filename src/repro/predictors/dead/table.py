@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.predictors.dead.base import DeadPredictor
+from repro.predictors.dead.base import DeadPredictor, WalkOutcome
 
 
 def _check_power_of_two(entries: int) -> None:
@@ -82,11 +82,6 @@ class PathDeadPredictor(DeadPredictor):
         slot, tag = self._slot(pc, actual_path)
         if self.tags[slot] != tag:
             if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
                 self.tags[slot] = tag
                 self.confs[slot] = 1
             return
@@ -95,6 +90,54 @@ class PathDeadPredictor(DeadPredictor):
                 self.confs[slot] += 1
         else:
             self.confs[slot] = 0
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        tags = self.tags
+        confs = self.confs
+        index_mask = self.entries - 1
+        index_bits = self._index_bits
+        tag_mask = self._tag_mask
+        path_mask = self._path_mask
+        path_shift = self._path_shift
+        threshold = self.threshold
+        conf_max = self._conf_max
+        predicted_paths = paths.predicted
+        actual_paths = paths.actual
+        true_positives = []
+        false_positives = []
+        allocations = evictions = 0
+        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            word = pc >> 2
+            tag = (word >> index_bits) & tag_mask
+            # Lookup along the predicted path ...
+            path = predicted_paths[i] & path_mask
+            slot = (word ^ (path << path_shift)) & index_mask
+            if tags[slot] == tag and confs[slot] >= threshold:
+                if dead:
+                    true_positives.append(pc)
+                else:
+                    false_positives.append(pc)
+            # ... then train along the resolved one (usually the same
+            # path, hence the same slot).
+            actual = actual_paths[i] & path_mask
+            if actual != path:
+                slot = (word ^ (actual << path_shift)) & index_mask
+            held = tags[slot]
+            if held != tag:
+                if dead:
+                    allocations += 1
+                    if held != -1:
+                        evictions += 1
+                    tags[slot] = tag
+                    confs[slot] = 1
+            elif dead:
+                if confs[slot] < conf_max:
+                    confs[slot] += 1
+            else:
+                confs[slot] = 0
+        return WalkOutcome(true_positives, false_positives,
+                           allocations, evictions)
 
     def storage_bits(self) -> int:
         # tag + confidence + valid bit, per entry.
@@ -150,11 +193,6 @@ class SignatureDeadPredictor(DeadPredictor):
         path = actual_path & self._path_mask
         if self.tags[slot] != tag:
             if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
                 self.tags[slot] = tag
                 self.sigs[slot] = path
                 self.confs[slot] = 1
@@ -168,6 +206,55 @@ class SignatureDeadPredictor(DeadPredictor):
                 self.confs[slot] = 1
         elif self.sigs[slot] == path:
             self.confs[slot] = 0
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        tags = self.tags
+        sigs = self.sigs
+        confs = self.confs
+        index_mask = self.entries - 1
+        index_bits = self._index_bits
+        tag_mask = self._tag_mask
+        path_mask = self._path_mask
+        threshold = self.threshold
+        conf_max = self._conf_max
+        predicted_paths = paths.predicted
+        actual_paths = paths.actual
+        true_positives = []
+        false_positives = []
+        allocations = evictions = 0
+        for i, pc, dead in zip(stream.eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            word = pc >> 2
+            slot = word & index_mask
+            tag = (word >> index_bits) & tag_mask
+            # Lookup and training share the slot (PC-indexed).
+            if tags[slot] != tag:
+                if dead:
+                    allocations += 1
+                    if tags[slot] != -1:
+                        evictions += 1
+                    tags[slot] = tag
+                    sigs[slot] = actual_paths[i] & path_mask
+                    confs[slot] = 1
+                continue
+            if confs[slot] >= threshold and \
+                    sigs[slot] == predicted_paths[i] & path_mask:
+                if dead:
+                    true_positives.append(pc)
+                else:
+                    false_positives.append(pc)
+            path = actual_paths[i] & path_mask
+            if dead:
+                if sigs[slot] == path:
+                    if confs[slot] < conf_max:
+                        confs[slot] += 1
+                else:
+                    sigs[slot] = path
+                    confs[slot] = 1
+            elif sigs[slot] == path:
+                confs[slot] = 0
+        return WalkOutcome(true_positives, false_positives,
+                           allocations, evictions)
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.path_bits
@@ -215,11 +302,6 @@ class BimodalDeadPredictor(DeadPredictor):
         slot, tag = self._slot(pc)
         if self.tags[slot] != tag:
             if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
                 self.tags[slot] = tag
                 self.confs[slot] = 1
             return
@@ -228,6 +310,43 @@ class BimodalDeadPredictor(DeadPredictor):
                 self.confs[slot] += 1
         else:
             self.confs[slot] = 0
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        tags = self.tags
+        confs = self.confs
+        index_mask = self.entries - 1
+        index_bits = self._index_bits
+        tag_mask = self._tag_mask
+        threshold = self.threshold
+        conf_max = self._conf_max
+        true_positives = []
+        false_positives = []
+        allocations = evictions = 0
+        for pc, dead in zip(stream.eligible_pc, stream.eligible_dead):
+            word = pc >> 2
+            slot = word & index_mask
+            tag = (word >> index_bits) & tag_mask
+            # Lookup and training share the slot (PC-indexed).
+            if tags[slot] != tag:
+                if dead:
+                    allocations += 1
+                    if tags[slot] != -1:
+                        evictions += 1
+                    tags[slot] = tag
+                    confs[slot] = 1
+                continue
+            if confs[slot] >= threshold:
+                if dead:
+                    true_positives.append(pc)
+                else:
+                    false_positives.append(pc)
+            if dead:
+                if confs[slot] < conf_max:
+                    confs[slot] += 1
+            else:
+                confs[slot] = 0
+        return WalkOutcome(true_positives, false_positives,
+                           allocations, evictions)
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.conf_bits + 1)
@@ -243,8 +362,9 @@ class HistoryDeadPredictor(DeadPredictor):
     history only predicts indirectly (insofar as the past correlates
     with the future).  This design isolates that claim: identical
     structure to :class:`PathDeadPredictor`, but fed the last N branch
-    outcomes instead of the next N predictions.  The harness updates
-    the history via :meth:`note_branch` along the committed path.
+    outcomes instead of the next N predictions.  The history advances
+    along the committed path: :meth:`note_branch` per resolved branch
+    in the per-event form, the merged branch stream in :meth:`walk`.
     """
 
     name = "history"
@@ -295,11 +415,6 @@ class HistoryDeadPredictor(DeadPredictor):
         slot, tag = self._slot(pc)
         if self.tags[slot] != tag:
             if dead:
-                probe = self.probe
-                if probe is not None:
-                    probe.note_alloc()
-                    if self.tags[slot] != -1:
-                        probe.note_eviction()
                 self.tags[slot] = tag
                 self.confs[slot] = 1
             return
@@ -308,6 +423,73 @@ class HistoryDeadPredictor(DeadPredictor):
                 self.confs[slot] += 1
         else:
             self.confs[slot] = 0
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        tags = self.tags
+        confs = self.confs
+        index_mask = self.entries - 1
+        index_bits = self._index_bits
+        tag_mask = self._tag_mask
+        history_mask = self._history_mask
+        history_shift = self._history_shift
+        threshold = self.threshold
+        conf_max = self._conf_max
+        eligible_index = stream.eligible_index
+        branch_index = stream.branch_index
+        branch_taken = stream.branch_taken
+        n_branches = len(branch_index)
+        # Two-pointer merge of branch outcomes into the eligible walk
+        # (the index lists are disjoint and ascending).  ``next_branch``
+        # is the dynamic index of the next unconsumed branch, or one
+        # past the last eligible event once none remain before it.
+        end = eligible_index[-1] + 1 if eligible_index else 0
+        b = 0
+        next_branch = branch_index[0] if n_branches else end
+        history = self.history
+        context = history << history_shift
+        true_positives = []
+        false_positives = []
+        allocations = evictions = 0
+        for i, pc, dead in zip(eligible_index, stream.eligible_pc,
+                               stream.eligible_dead):
+            if next_branch < i:
+                while True:
+                    history = ((history << 1) | branch_taken[b]) \
+                        & history_mask
+                    b += 1
+                    next_branch = branch_index[b] if b < n_branches \
+                        else end
+                    if next_branch >= i:
+                        break
+                context = history << history_shift
+            word = pc >> 2
+            slot = (word ^ context) & index_mask
+            tag = (word >> index_bits) & tag_mask
+            # Lookup and training share the history context, hence
+            # the slot.
+            if tags[slot] != tag:
+                if dead:
+                    allocations += 1
+                    if tags[slot] != -1:
+                        evictions += 1
+                    tags[slot] = tag
+                    confs[slot] = 1
+                continue
+            if confs[slot] >= threshold:
+                if dead:
+                    true_positives.append(pc)
+                else:
+                    false_positives.append(pc)
+            if dead:
+                if confs[slot] < conf_max:
+                    confs[slot] += 1
+            else:
+                confs[slot] = 0
+        for taken in branch_taken[b:]:
+            history = ((history << 1) | taken) & history_mask
+        self.history = history
+        return WalkOutcome(true_positives, false_positives,
+                           allocations, evictions)
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.conf_bits + 1) \
@@ -328,6 +510,15 @@ class OracleDeadPredictor(DeadPredictor):
     def train(self, pc: int, dead: bool, actual_path: int,
               index: int) -> None:
         pass
+
+    def walk(self, stream, paths) -> WalkOutcome:
+        # With the trace's own labels this is just the dead events.
+        labels = self.dead_labels
+        predicted = [(pc, dead) for i, pc, dead in
+                     zip(stream.eligible_index, stream.eligible_pc,
+                         stream.eligible_dead) if labels[i]]
+        return WalkOutcome([pc for pc, dead in predicted if dead],
+                           [pc for pc, dead in predicted if not dead])
 
     def storage_bits(self) -> int:
         return 0

@@ -214,8 +214,8 @@ def test_probe_tracks_table_churn_and_health(analyzed_mini_c):
     assert probe.evictions == probe.allocations - health["occupied"]
     assert sum(health["confidence_distribution"].values()) == \
         health["occupied"]
-    # The probe detaches after the walk (no lingering hot-path cost).
-    assert predictor.probe is None
+    # The walk counts churn itself: the predictor never holds a probe.
+    assert not hasattr(predictor, "probe")
 
 
 def test_probe_hotspots_rank_by_mispredictions():
@@ -335,6 +335,42 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
     finally:
         obs.reset_obs()
         reset_engine()
+
+
+def test_observed_f5_spans_each_predictor_walk(tmp_path, capsys):
+    """Every F5 cell's evaluation walk is one ``predict:path`` span
+    (with its workload and event count), and on a hot rerun those
+    spans are most of the experiment's time — the layer the F5 span
+    used to leave unattributed."""
+    from repro.harness.cli import main
+    from repro.harness.experiments import _F5_ENTRIES
+    from repro.workloads import workload_names
+
+    cache = str(tmp_path / "cache")
+    try:
+        for _ in range(2):   # cold fill, then the observed hot rerun
+            assert main(["F5", "--scale", "0.2", "--obs",
+                         "--cache-dir", cache]) == 0
+        capsys.readouterr()
+    finally:
+        obs.reset_obs()
+        reset_engine()
+    runs_root = os.path.join(cache, "runs")
+    obs_dir = max(name for name in os.listdir(runs_root)
+                  if name.startswith("obs-"))
+    with open(os.path.join(runs_root, obs_dir, "spans.jsonl")) as stream:
+        spans = load_spans(stream.read())
+    experiment, = [span for span in spans
+                   if span["name"] == "experiment"]
+    walks = [span for span in spans if span["name"].startswith("predict:")]
+    assert len(walks) == len(_F5_ENTRIES) * len(workload_names())
+    assert {span["name"] for span in walks} == {"predict:path"}
+    for span in walks:
+        assert span["parent_id"] == experiment["span_id"]
+        assert span["attrs"]["workload"] in workload_names()
+        assert span["attrs"]["events"] > 0
+    assert sum(span["seconds"] for span in walks) > \
+        0.5 * experiment["seconds"]
 
 
 def test_cli_obs_report_without_artifacts(tmp_path, capsys):
