@@ -42,10 +42,11 @@ cache directories.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels, obs
@@ -63,7 +64,7 @@ from repro.kernels.base import (
 from repro.isa.assembler import assemble
 from repro.lang import CompilerOptions, compile_source
 from repro.pipeline import MachineConfig
-from repro.pipeline.core import PipelineResult, simulate
+from repro.pipeline.core import PipelineResult, Simulator, simulate
 from repro.predictors.dead.paths import PathInfo, compute_paths
 from repro.workloads import get_workload
 
@@ -669,6 +670,61 @@ def _simulate_key(trace_key: str, machine_config: MachineConfig,
     return stable_hash(*parts)
 
 
+def _regs_family(trace_key: str, machine_config: MachineConfig,
+                 analysis: Optional[DeadnessAnalysis]) -> str:
+    """The timing key of *machine_config* with ``phys_regs`` replaced
+    by a fixed placeholder: requests that share it differ at most in
+    the register-file size."""
+    return _simulate_key(trace_key, replace(machine_config, phys_regs=33),
+                         analysis)
+
+
+class _UnboundResults:
+    """Timing results whose register file never bound
+    (``PipelineResult.regs_bound`` False), by :func:`_regs_family`.
+
+    Such a result is also the result of the same request with more
+    physical registers: every free-list length grows by the same
+    constant, and the two free-list checks (rename's stall and the
+    replay refusal) are the only decisions the register-file size
+    makes (``repro.pipeline.core`` module docstring)."""
+
+    def __init__(self):
+        self._families: Dict[str, Dict[int, PipelineResult]] = {}
+
+    def note(self, family: str, result: PipelineResult) -> None:
+        if not result.regs_bound:
+            self._families.setdefault(family, {})[
+                result.config.phys_regs] = result
+
+    def reuse(self, family: str, machine_config: MachineConfig
+              ) -> Optional[Tuple[PipelineResult, int]]:
+        """The answer to *machine_config* from the smallest unbound
+        result with fewer registers (a fresh copy of its stats, with
+        ``config`` set to the request) and that result's
+        ``phys_regs``; None when there is none."""
+        smaller = [regs for regs in self._families.get(family, ())
+                   if regs < machine_config.phys_regs]
+        if not smaller:
+            return None
+        source = self._families[family][min(smaller)]
+        return (replace(source, config=machine_config,
+                        stats=copy.copy(source.stats)),
+                source.config.phys_regs)
+
+
+def _timed_simulate(trace: Trace, machine_config: MachineConfig,
+                    analysis: Optional[DeadnessAnalysis]
+                    ) -> Tuple[PipelineResult, Tuple[float, float]]:
+    """:func:`~repro.pipeline.core.simulate` plus its set-up and
+    cycle-loop seconds."""
+    started = time.perf_counter()
+    simulator = Simulator(trace, machine_config, analysis)
+    built = time.perf_counter()
+    result = simulator.run()
+    return result, (built - started, time.perf_counter() - built)
+
+
 def _prefetch_sim_worker(args: Tuple[CellSpec,
                                      Tuple[MachineConfig, ...],
                                      EngineConfig, Tuple[str, ...],
@@ -695,16 +751,24 @@ def _prefetch_sim_worker(args: Tuple[CellSpec,
         artifact = _materialize_payload(spec, payload, config, cache,
                                         plane)
         results: List[Tuple[str, PipelineResult, float]] = []
+        unbound = _UnboundResults()
         for machine_config in machine_configs:
             key = _simulate_key(artifact.trace_key, machine_config,
                                 artifact.analysis)
+            family = _regs_family(artifact.trace_key, machine_config,
+                                  artifact.analysis)
             started = time.perf_counter()
             result = cache.load("timing", key) if cache else MISS
             if not isinstance(result, PipelineResult):
-                result = simulate(artifact.trace, machine_config,
-                                  artifact.analysis)
+                reused = unbound.reuse(family, machine_config)
+                if reused is not None:
+                    result = reused[0]
+                else:
+                    result = simulate(artifact.trace, machine_config,
+                                      artifact.analysis)
                 if cache:
                     cache.store("timing", key, result)
+            unbound.note(family, result)
             results.append((key, result,
                             time.perf_counter() - started))
         out: Dict[str, object] = {"results": results}
@@ -747,6 +811,8 @@ class Engine:
         #: in-memory memo for timing results (tiny objects); serves
         #: repeated simulations and prefetched no-cache results
         self._sim_memo: Dict[str, PipelineResult] = {}
+        #: unbound timing results, answering larger register files
+        self._unbound = _UnboundResults()
         #: worker pid -> stable small ordinal for telemetry labels
         #: (``worker="0"``, ``worker="1"``, ... in first-seen order)
         self._worker_ids: Dict[int, str] = {}
@@ -950,64 +1016,90 @@ class Engine:
                  analysis: Optional[DeadnessAnalysis] = None,
                  trace_key: Optional[str] = None) -> PipelineResult:
         """The cached timing stage.  Without a *trace_key* (ad-hoc
-        traces) the simulation runs uncached."""
+        traces) the simulation runs uncached.  A miss that differs from
+        an already-computed unbound result only by a larger
+        ``phys_regs`` is answered from it (:class:`_UnboundResults`)
+        instead of simulating."""
         if trace_key is None:
             started = time.perf_counter()
-            result = simulate(trace, machine_config, analysis)
+            result, phases = _timed_simulate(trace, machine_config,
+                                             analysis)
             self._note_timing(
                 "adhoc:%s:%s" % (trace.program.name,
                                  machine_config.to_key()),
                 trace, machine_config, result, False,
-                time.perf_counter() - started)
+                time.perf_counter() - started, phases=phases)
             return result
         key = _simulate_key(trace_key, machine_config, analysis)
+        family = _regs_family(trace_key, machine_config, analysis)
         started = time.perf_counter()
-        memo = self._sim_memo.get(key)
-        if memo is not None:
-            seconds = time.perf_counter() - started
-            self.stats.add("timing", True, seconds)
-            self._note_timing(key, trace, machine_config, memo, True,
-                              seconds)
-            return memo
-        if self.cache:
+        result = self._sim_memo.get(key)
+        if result is None and self.cache:
             cached = self.cache.load("timing", key)
             if isinstance(cached, PipelineResult):
-                self._sim_memo[key] = cached
-                seconds = time.perf_counter() - started
-                self.stats.add("timing", True, seconds)
-                self._note_timing(key, trace, machine_config, cached,
-                                  True, seconds)
-                return cached
-        result = simulate(trace, machine_config, analysis)
+                result = self._sim_memo[key] = cached
+        if result is not None:
+            self._unbound.note(family, result)
+            seconds = time.perf_counter() - started
+            self.stats.add("timing", True, seconds)
+            self._note_timing(key, trace, machine_config, result, True,
+                              seconds)
+            return result
+        phases = reused_from = None
+        reused = self._unbound.reuse(family, machine_config)
+        if reused is not None:
+            result, reused_from = reused
+        else:
+            result, phases = _timed_simulate(trace, machine_config,
+                                             analysis)
+        self._unbound.note(family, result)
         self._sim_memo[key] = result
         if self.cache:
             self.cache.store("timing", key, result)
         seconds = time.perf_counter() - started
+        # A reuse is still a cache miss: the key was not in the cache.
         self.stats.add("timing", False, seconds)
         self._note_timing(key, trace, machine_config, result, False,
-                          seconds)
+                          seconds, phases=phases, reused_from=reused_from)
         return result
 
     def _note_timing(self, key: str, trace: Trace,
                      machine_config: MachineConfig,
                      result: PipelineResult, hit: bool,
-                     seconds: float) -> None:
+                     seconds: float,
+                     phases: Optional[Tuple[float, float]] = None,
+                     reused_from: Optional[int] = None) -> None:
         """Telemetry for one timing-stage request: span, counters, and
         the sampled pipeline timeline (which rides inside the cached
         :class:`PipelineResult`, so hits register it too; the collector
-        deduplicates repeat requests by *key*)."""
+        deduplicates repeat requests by *key*).  A simulated request's
+        span gets ``sim:setup`` and ``sim:loop`` children (*phases*);
+        a reused one carries ``reused_from`` (the source result's
+        ``phys_regs``) and counts as ``result="reuse"``."""
         collector = obs.get_collector()
         if collector is None:
             return
         label = "%s/%s" % (trace.program.name,
                            "elim" if machine_config.eliminate
                            else "base")
-        collector.tracer.add("timing:%s" % label, seconds, hit=hit,
-                             workload=trace.program.name)
+        attrs: Dict[str, object] = {"hit": hit,
+                                    "workload": trace.program.name}
+        if reused_from is not None:
+            attrs["reused_from"] = reused_from
+        span = collector.tracer.add("timing:%s" % label, seconds, **attrs)
+        if phases is not None:
+            collector.tracer.add("sim:setup", phases[0],
+                                 parent_id=span.span_id)
+            collector.tracer.add("sim:loop", phases[1],
+                                 parent_id=span.span_id)
+        if reused_from is not None:
+            outcome = "reuse"
+        else:
+            outcome = "hit" if hit else "miss"
         registry = collector.registry
         registry.counter(
             "repro_timing_total", "timing simulations by outcome",
-            result="hit" if hit else "miss").inc()
+            result=outcome).inc()
         registry.histogram(
             "repro_timing_seconds", "timing wall time").observe(seconds)
         timeline_doc = getattr(result, "timeline", None)
@@ -1114,6 +1206,7 @@ class Engine:
     def clear_memos(self) -> None:
         """Drop in-memory memoized results (tests bound memory)."""
         self._sim_memo.clear()
+        self._unbound = _UnboundResults()
         _PROGRAM_MEMO.clear()
 
     def describe(self) -> Dict[str, object]:

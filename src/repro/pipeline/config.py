@@ -114,9 +114,36 @@ class MachineConfig:
     #: instead of flushed even when rename has exhausted the free list
     replay_reserve_pregs: int = 1
 
+    def __post_init__(self):
+        if self.recovery_mode not in ("replay", "flush"):
+            raise ValueError("recovery_mode must be 'replay' or 'flush', "
+                             "got %r" % (self.recovery_mode,))
+        # The core's idle-cycle jump and cached wake times assume that
+        # no result is ready in the cycle its producer issues, and that
+        # a ready instruction always issues when nothing else did.
+        for name in _LATENCIES + _WIDTHS + _UNITS:
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
+        # A two-source instruction could never issue with one port.
+        if self.rf_read_ports < 2:
+            raise ValueError("rf_read_ports must be at least 2, got %r"
+                             % (self.rf_read_ports,))
+        if self.phys_regs <= 32:
+            raise ValueError("phys_regs must exceed the 32 architectural "
+                             "registers, got %r" % (self.phys_regs,))
+
     def to_key(self) -> str:
         """Canonical serialization for cache keying (repro.keys)."""
         return config_key(self)
+
+
+_LATENCIES = ("alu_latency", "mul_latency", "div_latency",
+              "branch_latency", "agen_latency", "l1d_latency",
+              "l2_latency", "memory_latency")
+_WIDTHS = ("fetch_width", "rename_width", "issue_width", "commit_width")
+_UNITS = ("alu_units", "mul_units", "div_units", "branch_units",
+          "mem_ports")
 
 
 def default_config(**overrides) -> MachineConfig:

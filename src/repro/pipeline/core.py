@@ -46,6 +46,36 @@ Soundness invariants of the elimination machinery (DESIGN.md §5.6):
   a source is itself dynamically dead (stores cannot be — a live read
   would have prevented the verified commit), so the source is treated
   as ready garbage rather than triggering an impossible recovery.
+
+Idle-cycle fast-forward (cycle-exact): a cycle that commits, issues,
+renames and fetches nothing, starts no recovery at rename, and ends
+with no eliminated instruction at the ROB head (whose verify stall
+counts every cycle) repeats unchanged until the next event, so the
+loop jumps straight to the earliest of: the ROB head's ``done_at``, the
+earliest IQ wake time (an entry ready now would have issued: validated
+configs have at least one unit per class and two read ports), a future
+``fetch_resume`` or ``rename_blocked_until``, the timeline's next
+sample, and ``max_cycles``.  The only counters a frozen cycle
+increments are the stalled rename's: one of
+``rename_stalls_{rob,iq,lsq,preg}`` and, when the stalled instruction
+was eligible, ``elim_predictions`` (the repeated predictor lookup is
+pure).  The jump adds the skipped cycles times those increments.  The
+IQ wake cache relies on the same validation: every latency is at least
+one cycle, so no result is ready in the cycle its producer issues.  A
+source's ready time never changes once its producer issued: a register
+is reallocated only after every reader of it committed, and a flush
+removes the squashed readers from the IQ at once.
+
+Register-file reuse: ``phys_regs`` enters the run only as the initial
+free-list length.  Physical register *names* are interchangeable, and
+the free-list length is read by exactly two decisions — rename's stall
+(``len(free_list) <= reserve``) and a replay's refusal
+(``needed > len(free_list)``).  With ``k`` more registers every
+free-list length is larger by ``k`` at every cycle, as long as neither
+decision ever fired at the smaller size; so a run with
+``PipelineResult.regs_bound`` False is also the run of every larger
+register file.  The harness answers such requests without simulating
+(``repro.harness.engine``).
 """
 
 from __future__ import annotations
@@ -75,6 +105,9 @@ _FU_ALU, _FU_MUL, _FU_DIV, _FU_MEM, _FU_BRANCH = range(5)
 
 _NUM_ARCH = 32
 
+#: ``src_tokens`` of an instruction that read no squashed token
+_NO_TOKENS = ()
+
 
 class InFlight:
     """One in-flight instruction (ROB entry)."""
@@ -82,35 +115,42 @@ class InFlight:
     __slots__ = ("seq", "tidx", "sidx", "pc", "fu", "srcs", "src_tokens",
                  "token_readers", "arch_dest", "new_preg", "old_preg",
                  "is_load", "is_store", "mispredict", "eliminated",
-                 "verified", "verifies", "verified_by", "issued",
-                 "done_at", "squashed", "committed", "recovered",
-                 "stall_cycles")
+                 "verified", "verifies", "verified_by", "done_at",
+                 "squashed", "committed", "recovered", "stall_cycles",
+                 "wake")
 
-    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int):
+    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int,
+                 srcs: List[int], src_tokens, arch_dest: int, old_preg,
+                 new_preg: Optional[int], is_load: bool, is_store: bool,
+                 mispredict: bool, eliminated: bool):
         self.seq = seq
         self.tidx = tidx
         self.sidx = sidx
         self.pc = pc
         self.fu = fu
-        self.srcs: List[int] = []
-        self.src_tokens: List["InFlight"] = []
+        self.srcs = srcs
+        #: producers whose squashed tokens this eliminated instruction
+        #: read (never appended to after rename)
+        self.src_tokens = src_tokens
         self.token_readers: List["InFlight"] = []
-        self.arch_dest = 0
-        self.new_preg: Optional[int] = None
-        self.old_preg = None  # int or InFlight token
-        self.is_load = False
-        self.is_store = False
-        self.mispredict = False
-        self.eliminated = False
+        self.arch_dest = arch_dest
+        self.old_preg = old_preg  # int or InFlight token
+        self.new_preg = new_preg
+        self.is_load = is_load
+        self.is_store = is_store
+        self.mispredict = mispredict
+        self.eliminated = eliminated
         self.verified = False
         self.verifies: Optional["InFlight"] = None
         self.verified_by: Optional["InFlight"] = None
-        self.issued = False
         self.done_at = _INF
         self.squashed = False
         self.committed = False
         self.recovered = False
         self.stall_cycles = 0
+        #: cycle every source is ready, cached by the issue stage once
+        #: all producers have issued (-1 until then)
+        self.wake = -1
 
     def commit_ready(self) -> bool:
         """May this verified eliminated instruction commit?"""
@@ -135,6 +175,11 @@ class PipelineResult:
     #: telemetry was enabled for the run, else None.  Plain data so the
     #: cached artifact carries its telemetry across reloads.
     timeline: Optional[Dict[str, object]] = None
+    #: True when the register-file size decided anything: rename
+    #: stalled for a free register, or a replay was refused for lack of
+    #: them.  An unbound result holds for any larger ``phys_regs``
+    #: (module docstring).
+    regs_bound: bool = False
 
 
 def _classify_fu(statics: StaticTable) -> List[int]:
@@ -267,6 +312,8 @@ class Simulator:
         #: cycle-sampled telemetry; None (the default) costs one
         #: ``is not None`` test per cycle in the main loop.
         self.timeline = new_timeline()
+        #: set when a replay is refused for lack of free registers
+        self._replay_refused = False
         config = self.config
         self._latency = [config.alu_latency, config.mul_latency,
                          config.div_latency, config.agen_latency,
@@ -314,6 +361,7 @@ class Simulator:
         train_stores = config.eliminate_stores
         use_replay = config.recovery_mode == "replay"
         timeline = self.timeline
+        l1d_access = self.l1d.access
 
         # Rename state: merged physical register file.
         rat: List[object] = list(range(_NUM_ARCH))
@@ -362,6 +410,13 @@ class Simulator:
         eliminate_stores = config.eliminate_stores
         stop_ptr = 0
 
+        # Hot counters as locals, added to ``stats`` after the loop.
+        rf_reads = rf_writes = dcache_accesses = 0
+        preg_allocs = preg_frees = 0
+        branches = branch_mispredicts = 0
+        n_eliminated = elim_predictions = 0
+        stalls_rob = stalls_iq = stalls_lsq = stalls_preg = 0
+
         while committed < n:
             if cycle >= max_cycles:
                 raise RuntimeError("simulation did not finish in %d cycles"
@@ -399,101 +454,116 @@ class Simulator:
                                     config.recovery_penalty
                                 lsq_used = self._recount_lsq(rob)
                         break
-                else:
-                    if head.done_at > cycle:
-                        break
+                elif head.done_at > cycle:
+                    break
                 rob.popleft()
                 head.committed = True
                 tidx = head.tidx
                 if head.is_store and not head.eliminated:
-                    stats.dcache_accesses += 1
-                    self.l1d.access(addrs[tidx])
+                    dcache_accesses += 1
+                    l1d_access(addrs[tidx])
                     lsq_used -= 1
                 elif head.is_load and not head.eliminated:
                     lsq_used -= 1
                 if head.arch_dest:
                     old = head.old_preg
-                    if isinstance(old, int):
+                    if type(old) is int:
                         free_list.append(old)
-                        stats.preg_frees += 1
+                        preg_frees += 1
                     # Token old mapping: the eliminated producer had no
                     # physical register -- a saved allocation and free.
-                if elim is not None and head.eliminated \
-                        and not head.recovered:
-                    elim.note_success(head.pc)
-                if elim is not None and not head.recovered and (
-                        s_eligible[head.sidx] or
-                        (train_stores and s_store[head.sidx])):
+                committed += 1
+                commits += 1
+                if elim is not None:
                     # Instructions that forced a recovery already
                     # trained "live" there; training them dead again at
                     # commit would re-arm the same costly prediction.
-                    elim.train_commit(tidx, head.pc)
-                committed += 1
-                commits += 1
-                if elim is not None and not committed & 1023:
-                    elim.decay_strikes()
+                    if not head.recovered:
+                        if head.eliminated:
+                            elim.note_success(head.pc)
+                        if s_eligible[head.sidx] or (
+                                train_stores and s_store[head.sidx]):
+                            elim.train_commit(tidx, head.pc)
+                    if not committed & 1023:
+                        elim.decay_strikes()
             if committed >= n:
                 stats.cycles = cycle + 1
                 break
 
             # ---- issue ----
-            fu_used = [0, 0, 0, 0, 0]
-            rf_reads_left = rf_read_ports
+            # Oldest first.  Readiness is tested first (via the cached
+            # wake time): an entry that fails any test just stays
+            # queued, so the test order cannot change which entries
+            # issue.  Issued entries leave the queue in place; squashed
+            # ones already left it in _flush.
             issued = 0
             if iq:
-                remaining: List[InFlight] = []
+                fu_used = [0, 0, 0, 0, 0]
+                rf_reads_left = rf_read_ports
+                fired = []
                 for entry in iq:
-                    if entry.squashed:
-                        continue
-                    if issued >= issue_width:
-                        remaining.append(entry)
+                    wake = entry.wake
+                    if wake < 0:
+                        wake = 0
+                        for preg in entry.srcs:
+                            ready = ready_at[preg]
+                            if ready > wake:
+                                wake = ready
+                        if wake == _INF:  # a producer has not issued
+                            continue
+                        entry.wake = wake
+                    if wake > cycle:
                         continue
                     fu = entry.fu
                     if fu_used[fu] >= fu_limits[fu]:
-                        remaining.append(entry)
                         continue
                     reads = len(entry.srcs)
                     if reads > rf_reads_left:
-                        remaining.append(entry)
-                        continue
-                    ready = True
-                    for preg in entry.srcs:
-                        if ready_at[preg] > cycle:
-                            ready = False
-                            break
-                    if not ready:
-                        remaining.append(entry)
                         continue
                     # Issue it.
                     fu_used[fu] += 1
                     rf_reads_left -= reads
-                    stats.rf_reads += reads
-                    issued += 1
+                    rf_reads += reads
                     latency = latencies[fu]
                     if entry.is_load:
-                        stats.dcache_accesses += 1
-                        latency += self.l1d.access(addrs[entry.tidx])
-                    entry.done_at = cycle + latency
-                    entry.issued = True
+                        dcache_accesses += 1
+                        latency += l1d_access(addrs[entry.tidx])
+                    done_at = cycle + latency
+                    entry.done_at = done_at
                     if entry.new_preg is not None:
-                        ready_at[entry.new_preg] = entry.done_at
-                        stats.rf_writes += 1
+                        ready_at[entry.new_preg] = done_at
+                        rf_writes += 1
                     if entry.mispredict:
-                        fetch_resume = entry.done_at + \
-                            config.redirect_penalty
-                iq = remaining
+                        fetch_resume = done_at + config.redirect_penalty
+                    fired.append(entry)
+                    issued += 1
+                    if issued == issue_width:
+                        break
+                for entry in fired:
+                    iq.remove(entry)
 
             # ---- rename / dispatch ----
-            renamed = 0
+            # Which stall counter a stalled rename bumped (1 rob, 2 iq,
+            # 3 lsq, 4 preg) and whether it made a prediction first:
+            # the per-cycle increments an idle-cycle jump repeats.
+            stall = 0
+            predicted = False
+            replayed = False
             flush_fired = False
-            while (renamed < rename_width and fq_head < fq_tail
-                   and cycle >= rename_blocked_until):
+            rename_from = fq_head
+            rename_end = fq_head + rename_width
+            if rename_end > fq_tail:
+                rename_end = fq_tail
+            if cycle < rename_blocked_until:
+                rename_end = fq_head
+            while fq_head < rename_end:
                 tidx = fq_head
+                if len(rob) >= rob_size:
+                    stalls_rob += 1
+                    stall = 1
+                    break
                 sidx = static_idx[tidx]
                 pc = pcs[tidx]
-                if len(rob) >= rob_size:
-                    stats.rename_stalls_rob += 1
-                    break
                 if use_block:
                     is_load = f_load[tidx]
                     is_store = f_store[tidx]
@@ -515,44 +585,54 @@ class Simulator:
                 if elim is not None:
                     if (eligible or
                             (is_store and eliminate_stores)):
-                        stats.elim_predictions += 1
+                        elim_predictions += 1
+                        predicted = True
                         eliminated = elim.should_eliminate(tidx, pc)
 
                 if not eliminated:
                     if len(iq) >= iq_size:
-                        stats.rename_stalls_iq += 1
+                        stalls_iq += 1
+                        stall = 2
                         break
                     if (is_load or is_store) and \
                             lsq_used >= lsq_size:
-                        stats.rename_stalls_lsq += 1
+                        stalls_lsq += 1
+                        stall = 3
                         break
                     if dest and len(free_list) <= preg_reserve:
-                        stats.rename_stalls_preg += 1
+                        stalls_preg += 1
+                        stall = 4
                         break
 
                 # Read source mappings.  A live consumer finding a
-                # squashed token is the dead-misprediction detector.
+                # squashed token is the dead-misprediction detector.  A
+                # token whose producer already committed is a
+                # verified-dead producer re-exposed by a flush: this
+                # consumer is itself dead, the value is architectural
+                # garbage (sound, see module docstring).
                 srcs: List[int] = []
-                src_tokens: List[InFlight] = []
+                src_tokens = _NO_TOKENS
                 dead_producer: Optional[InFlight] = None
-                for src in (src1, src2):
-                    if src <= 0:
-                        continue
-                    mapping = rat[src]
-                    if isinstance(mapping, InFlight):
-                        if mapping.committed:
-                            # Verified-dead producer re-exposed by a
-                            # flush: this consumer is itself dead, the
-                            # value is architectural garbage (sound,
-                            # see module docstring).
-                            continue
+                if src1 > 0:
+                    mapping = rat[src1]
+                    if type(mapping) is int:
+                        srcs.append(mapping)
+                    elif not mapping.committed:
                         if eliminated:
-                            src_tokens.append(mapping)
+                            src_tokens = [mapping]
                         else:
                             dead_producer = mapping
-                            break
-                    else:
+                if src2 > 0 and dead_producer is None:
+                    mapping = rat[src2]
+                    if type(mapping) is int:
                         srcs.append(mapping)
+                    elif not mapping.committed:
+                        if not eliminated:
+                            dead_producer = mapping
+                        elif src_tokens:
+                            src_tokens.append(mapping)
+                        else:
+                            src_tokens = [mapping]
 
                 if dead_producer is not None:
                     stats.reader_recoveries += 1
@@ -566,6 +646,7 @@ class Simulator:
                         lsq_used = new_lsq
                         rename_blocked_until = cycle + \
                             config.replay_penalty
+                        replayed = True
                         # The consumer renames once the stall expires.
                         break
                     self._flush(chain[0], rob, iq, rat, free_list)
@@ -577,37 +658,33 @@ class Simulator:
                     flush_fired = True
                     break
 
-                entry = InFlight(seq, tidx, sidx, pc, fu)
-                seq += 1
-                entry.srcs = srcs
-                entry.is_load = is_load
-                entry.is_store = is_store
-                entry.mispredict = mispredict_flags[tidx]
-                entry.eliminated = eliminated
-                if eliminated:
-                    entry.src_tokens = src_tokens
-                    for token in src_tokens:
-                        token.token_readers.append(entry)
-
                 if dest:
                     old = rat[dest]
-                    entry.arch_dest = dest
-                    entry.old_preg = old
-                    if isinstance(old, InFlight) and not old.committed \
+                    if eliminated:
+                        preg = None
+                    else:
+                        preg = free_list.popleft()
+                        ready_at[preg] = _INF
+                        preg_allocs += 1
+                else:
+                    old = preg = None
+                entry = InFlight(seq, tidx, sidx, pc, fu, srcs,
+                                 src_tokens, dest, old, preg, is_load,
+                                 is_store, mispredict_flags[tidx],
+                                 eliminated)
+                seq += 1
+                if src_tokens:
+                    for token in src_tokens:
+                        token.token_readers.append(entry)
+                if dest:
+                    rat[dest] = entry if eliminated else preg
+                    if type(old) is not int and not old.committed \
                             and old.eliminated and not old.verified:
                         # Overwriting a squashed mapping verifies that
                         # the eliminated producer really was dead.
                         old.verified = True
                         old.verified_by = entry
                         entry.verifies = old
-                    if eliminated:
-                        rat[dest] = entry
-                    else:
-                        preg = free_list.popleft()
-                        rat[dest] = preg
-                        ready_at[preg] = _INF
-                        entry.new_preg = preg
-                        stats.preg_allocs += 1
                 elif eliminated and is_store:
                     # An eliminated store poisons no rename mapping; its
                     # deadness is verified by the overwriting store in
@@ -616,7 +693,7 @@ class Simulator:
                     entry.verified = True
 
                 if eliminated:
-                    stats.eliminated += 1
+                    n_eliminated += 1
                     entry.done_at = cycle  # never executes
                 else:
                     iq.append(entry)
@@ -624,12 +701,13 @@ class Simulator:
                         lsq_used += 1
                 rob.append(entry)
                 fq_head += 1
-                renamed += 1
             if flush_fired:
                 cycle += 1
                 continue
+            renamed = fq_head - rename_from
 
             # ---- fetch ----
+            fetched_from = fq_tail
             if cycle >= fetch_resume and fq_tail < n:
                 if use_block:
                     # One arithmetic step per cycle: the block runs to
@@ -651,10 +729,10 @@ class Simulator:
                             end = stop + 1
                             stop_ptr += 1
                             if mispredict_flags[stop]:
-                                stats.branch_mispredicts += 1
+                                branch_mispredicts += 1
                                 fetch_resume = _INF  # until it resolves
-                        stats.branches += (cond_prefix[end]
-                                           - cond_prefix[fq_tail])
+                        branches += (cond_prefix[end]
+                                     - cond_prefix[fq_tail])
                         fq_tail = end
                 else:
                     fetched = 0
@@ -666,9 +744,9 @@ class Simulator:
                         fetched += 1
                         sidx = static_idx[tidx]
                         if s_cond[sidx]:
-                            stats.branches += 1
+                            branches += 1
                         if mispredict_flags[tidx]:
-                            stats.branch_mispredicts += 1
+                            branch_mispredicts += 1
                             fetch_resume = _INF  # until it resolves
                             break
                         if ends_group[tidx]:
@@ -677,11 +755,60 @@ class Simulator:
             if timeline is not None and cycle >= timeline.next_due:
                 timeline.record(cycle, len(rob), len(iq), lsq_used,
                                 fq_tail - fq_head, renamed, issued,
-                                commits, committed, stats.eliminated,
+                                commits, committed, n_eliminated,
                                 stats.reader_recoveries
                                 + stats.timeout_recoveries, fq_tail)
             cycle += 1
 
+            # ---- idle-cycle fast-forward ----
+            # A cycle that moved nothing repeats unchanged until the
+            # next event (module docstring): jump there, charging the
+            # skipped cycles the frozen rename stage's stall counts.
+            if (commits or issued or renamed or replayed
+                    or fq_tail != fetched_from
+                    or (rob and rob[0].eliminated)):
+                continue
+            # Nothing issued, so the scan above cached the wake time of
+            # every entry whose producers have all issued.
+            target = min([entry.wake for entry in iq if entry.wake >= 0],
+                         default=_INF)
+            if rob and rob[0].done_at < target:
+                target = rob[0].done_at
+            if cycle <= fetch_resume < target:
+                target = fetch_resume
+            if cycle <= rename_blocked_until < target:
+                target = rename_blocked_until
+            if timeline is not None and timeline.next_due < target:
+                target = timeline.next_due
+            if max_cycles < target:
+                target = max_cycles
+            if target > cycle:
+                skipped = target - cycle
+                if stall == 1:
+                    stalls_rob += skipped
+                elif stall == 2:
+                    stalls_iq += skipped
+                elif stall == 3:
+                    stalls_lsq += skipped
+                elif stall == 4:
+                    stalls_preg += skipped
+                if predicted:
+                    elim_predictions += skipped
+                cycle = target
+
+        stats.rf_reads += rf_reads
+        stats.rf_writes += rf_writes
+        stats.dcache_accesses += dcache_accesses
+        stats.preg_allocs += preg_allocs
+        stats.preg_frees += preg_frees
+        stats.branches += branches
+        stats.branch_mispredicts += branch_mispredicts
+        stats.eliminated += n_eliminated
+        stats.elim_predictions += elim_predictions
+        stats.rename_stalls_rob += stalls_rob
+        stats.rename_stalls_iq += stalls_iq
+        stats.rename_stalls_lsq += stalls_lsq
+        stats.rename_stalls_preg += stalls_preg
         stats.committed = committed
         stats.dcache_misses = self.l1d.stats.misses
         stats.recoveries = (stats.reader_recoveries
@@ -690,6 +817,8 @@ class Simulator:
         result.l1d_misses = self.l1d.stats.misses
         if self.l1d.parent is not None:
             result.l2_misses = self.l1d.parent.stats.misses
+        result.regs_bound = bool(stats.rename_stalls_preg
+                                 or self._replay_refused)
         if timeline is not None:
             # A closing sample so the timeline always reaches the end
             # of the run, whatever the sampling grid.
@@ -738,6 +867,7 @@ class Simulator:
         if pregs_needed > len(free_list):
             # Without registers the values cannot be materialized;
             # the caller falls back to a flush (which frees plenty).
+            self._replay_refused = True
             return None
         # Replay entries may transiently overflow the IQ/LSQ: they
         # re-enter from the ROB while rename is stalled for
@@ -797,9 +927,9 @@ class Simulator:
             if entry.verifies is not None:
                 entry.verifies.verified = False
                 entry.verifies = None
-        for entry in iq:
-            if entry.seq >= target.seq:
-                entry.squashed = True
+        # Every queued entry is also in the ROB, so the walk above
+        # marked the squashed ones; drop them from the queue now.
+        iq[:] = [entry for entry in iq if not entry.squashed]
         target.recovered = True
         if self.elimination is not None:
             self.elimination.note_recovery(target.tidx, target.pc)

@@ -58,6 +58,20 @@ class EliminationEngine:
         self.max_strikes = max_strikes
         self.strike_increment = 2
         self.strike_ceiling = 2 * max_strikes
+        # The predictor's table and slot geometry, bound here so the
+        # two per-instruction calls below do the slot, lookup and
+        # update math inline (PathDeadPredictor._slot/predict/train)
+        # instead of three method calls each.
+        predictor = self.predictor
+        self._tags = predictor.tags
+        self._confs = predictor.confs
+        self._index_mask = predictor.entries - 1
+        self._index_bits = predictor._index_bits
+        self._tag_mask = predictor._tag_mask
+        self._path_mask = predictor._path_mask
+        self._path_shift = predictor._path_shift
+        self._threshold = predictor.threshold
+        self._conf_max = predictor._conf_max
 
     def should_eliminate(self, tidx: int, pc: int) -> bool:
         """Consult the predictor at rename time for dynamic *tidx*."""
@@ -65,12 +79,29 @@ class EliminationEngine:
             return False
         if self.strikes.get(pc, 0) >= self.max_strikes:
             return False
-        return self.predictor.predict(pc, self.predicted_path[tidx], tidx)
+        word = pc >> 2
+        slot = (word ^ ((self.predicted_path[tidx] & self._path_mask)
+                        << self._path_shift)) & self._index_mask
+        tag = (word >> self._index_bits) & self._tag_mask
+        return self._tags[slot] == tag and \
+            self._confs[slot] >= self._threshold
 
     def train_commit(self, tidx: int, pc: int) -> None:
         """Commit-time training with the resolved liveness outcome."""
-        self.predictor.train(pc, self.dead_labels[tidx],
-                             self.actual_path[tidx], tidx)
+        word = pc >> 2
+        slot = (word ^ ((self.actual_path[tidx] & self._path_mask)
+                        << self._path_shift)) & self._index_mask
+        tag = (word >> self._index_bits) & self._tag_mask
+        confs = self._confs
+        if self._tags[slot] != tag:
+            if self.dead_labels[tidx]:
+                self._tags[slot] = tag
+                confs[slot] = 1
+        elif self.dead_labels[tidx]:
+            if confs[slot] < self._conf_max:
+                confs[slot] += 1
+        else:
+            confs[slot] = 0
 
     def note_success(self, pc: int) -> None:
         """An eliminated instance committed verified: decay strikes."""

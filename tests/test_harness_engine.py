@@ -264,6 +264,125 @@ class TestTimingStage:
         assert "timing" not in engine.stats.counts
 
 
+def _timing_outcomes(collector):
+    """``repro_timing_total`` by its ``result`` label."""
+    return {labels["result"]: metric.value
+            for name, labels, metric in collector.registry.items()
+            if name == "repro_timing_total"}
+
+
+def _children(collector, span):
+    return sorted(child.name for child in collector.tracer.spans
+                  if child.parent_id == span.span_id)
+
+
+class TestRegisterReuse:
+    """A timing result whose register file never bound answers the
+    same request with a larger ``phys_regs`` without simulating."""
+
+    @pytest.fixture
+    def telemetry(self):
+        from repro import obs
+
+        yield obs.configure_obs(obs.ObsConfig(sample_interval=64))
+        obs.reset_obs()
+
+    def test_unbound_result_answers_a_larger_register_file(
+            self, tmp_path, telemetry):
+        from repro.pipeline import simulate
+
+        engine = make_engine(tmp_path)
+        artifact = engine.run_cells([spec()])[0]
+        source = engine.simulate(
+            artifact.trace, contended_config(phys_regs=104,
+                                             eliminate=True),
+            artifact.analysis, trace_key=artifact.trace_key)
+        assert not source.regs_bound
+        config = contended_config(phys_regs=160, eliminate=True)
+        reused = engine.simulate(artifact.trace, config,
+                                 artifact.analysis,
+                                 trace_key=artifact.trace_key)
+        direct = simulate(artifact.trace, config, artifact.analysis)
+
+        assert reused.config == config and reused.config.phys_regs == 160
+        assert reused.stats == direct.stats
+        assert reused.stats is not source.stats
+        assert (reused.l1d_misses, reused.l2_misses) == \
+            (direct.l1d_misses, direct.l2_misses)
+        assert reused.timeline is not None
+        assert reused.timeline == direct.timeline
+        # A reuse is a cache miss that ran no simulation.
+        assert engine.stats.misses("timing") == 2
+        assert _timing_outcomes(telemetry) == {"miss": 1, "reuse": 1}
+        simulated, reuse = [span for span in telemetry.tracer.spans
+                            if span.name.startswith("timing:")]
+        assert _children(telemetry, simulated) == ["sim:loop",
+                                                   "sim:setup"]
+        assert "reused_from" not in simulated.attrs
+        assert reuse.attrs["reused_from"] == 104
+        assert _children(telemetry, reuse) == []
+
+        # The reused result was stored under its own key.
+        hot = make_engine(tmp_path)
+        hot_artifact = hot.run_cells([spec()])[0]
+        again = hot.simulate(hot_artifact.trace, config,
+                             hot_artifact.analysis,
+                             trace_key=hot_artifact.trace_key)
+        assert hot.stats.hits("timing") == 1
+        assert again.stats == direct.stats
+
+    def test_bound_result_is_never_reused(self, tmp_path, telemetry):
+        from repro.pipeline import simulate
+
+        engine = make_engine(tmp_path)
+        artifact = engine.run_cells([spec()])[0]
+        bound = engine.simulate(artifact.trace,
+                                contended_config(phys_regs=44),
+                                artifact.analysis,
+                                trace_key=artifact.trace_key)
+        assert bound.regs_bound
+        config = contended_config(phys_regs=48)
+        result = engine.simulate(artifact.trace, config,
+                                 artifact.analysis,
+                                 trace_key=artifact.trace_key)
+        assert result.stats == simulate(artifact.trace, config,
+                                        artifact.analysis).stats
+        assert _timing_outcomes(telemetry) == {"miss": 2}
+        assert all("reused_from" not in span.attrs
+                   for span in telemetry.tracer.spans)
+
+    def test_larger_register_file_never_answers_a_smaller_one(
+            self, tmp_path, telemetry):
+        engine = make_engine(tmp_path)
+        artifact = engine.run_cells([spec()])[0]
+        for phys_regs in (160, 104):
+            result = engine.simulate(
+                artifact.trace, contended_config(phys_regs=phys_regs),
+                artifact.analysis, trace_key=artifact.trace_key)
+            assert not result.regs_bound
+        assert _timing_outcomes(telemetry) == {"miss": 2}
+
+    def test_e2_identical_serial_and_parallel(self, tmp_path, capsys):
+        """Pool batches reuse within their cell, the serial engine
+        across the whole run: both must print the same table."""
+        from repro.harness.cli import main
+        from repro.harness.engine import reset_engine
+
+        outputs = []
+        try:
+            for jobs in ("1", "2"):
+                out = str(tmp_path / ("e2-%s.json" % jobs))
+                assert main(["E2", "--scale", "0.2", "--jobs", jobs,
+                             "--cache-dir", str(tmp_path / jobs),
+                             "--json", out]) == 0
+                with open(out, "rb") as stream:
+                    outputs.append(stream.read())
+        finally:
+            reset_engine()
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+
 class TestSmoke:
     def test_hot_rerun_performs_zero_compile_or_trace_work(self,
                                                            tmp_path):

@@ -197,3 +197,57 @@ def test_max_cycles_guard(simple_loop_trace):
     simulator = Simulator(simple_loop_trace, default_config())
     with pytest.raises(RuntimeError):
         simulator.run(max_cycles=3)
+
+
+def test_max_cycles_guard_stops_the_idle_cycle_jump():
+    """A run ends on a commit after idle cycles spent waiting on a
+    load: one cycle short of its length still raises, the exact length
+    completes."""
+    _machine, trace = get_workload("pchase").run(scale=0.1)
+    analysis = analyze_deadness(trace)
+    config = contended_config()
+    cycles = simulate(trace, config, analysis).stats.cycles
+    with pytest.raises(RuntimeError):
+        Simulator(trace, config, analysis).run(max_cycles=cycles - 1)
+    result = Simulator(trace, config, analysis).run(max_cycles=cycles)
+    assert result.stats.cycles == cycles
+
+
+REPLAY_STARVED = """
+    div  t3, sp, sp     # 0: slow head, holds every commit back
+    li   s0, 1          # 1-3: live writes drain the free list
+    li   s1, 2          #      down to the replay reserve
+    li   s2, 3
+    li   t0, 1          # 4: eliminated
+    addi t1, t0, 1      # 5: eliminated, reads the token of 4
+    sw   t1, 0(sp)      # 6: live reader with no destination
+    halt
+"""
+
+
+def test_refused_replay_sets_regs_bound():
+    """With 36 registers the store finds a two-member chain while only
+    the one-register reserve is free: the replay is refused and a flush
+    recovers, although rename never stalled for a register.  One more
+    register lets the replay through, so the 36-register result must
+    not stand for 37."""
+    from tests.test_pipeline_scenarios import ScriptedElimination
+
+    _machine, trace = run_program(assemble(REPLAY_STARVED))
+    analysis = analyze_deadness(trace)
+
+    def run(phys_regs):
+        config = default_config(eliminate=True, phys_regs=phys_regs,
+                                recovery_penalty=30)
+        simulator = Simulator(trace, config, analysis)
+        simulator.elimination = ScriptedElimination({4, 5})
+        return simulator.run()
+
+    starved = run(36)
+    assert starved.stats.rename_stalls_preg == 0
+    assert starved.stats.flush_recoveries == 1
+    assert starved.regs_bound
+    roomy = run(37)
+    assert roomy.stats.flush_recoveries == 0
+    assert roomy.stats.replayed == 2
+    assert not roomy.regs_bound

@@ -79,3 +79,32 @@ def test_decay_removes_zeroed_entries():
     engine.decay_strikes()
     assert 4 not in engine.strikes
     assert engine.strikes[8] == 4
+
+
+def test_inline_lookup_and_training_match_path_predictor():
+    """``should_eliminate``/``train_commit`` do the path predictor's
+    slot, lookup and update math inline: driven over a whole trace
+    with a small, colliding table they must answer and train exactly
+    like ``PathDeadPredictor.predict``/``train``."""
+    from repro.pipeline.config import DeadPredictorConfig
+    from repro.predictors.dead.table import PathDeadPredictor
+
+    _, trace = get_workload("sort").run(scale=0.2)
+    analysis = analyze_deadness(trace)
+    small = DeadPredictorConfig(entries=64, tag_bits=2, threshold=2)
+    engine = EliminationEngine(
+        default_config(eliminate=True, dead_predictor=small), analysis)
+    reference = PathDeadPredictor(entries=64, tag_bits=2, path_bits=3,
+                                  conf_bits=2, threshold=2)
+    predicted = 0
+    for tidx, pc in enumerate(trace.pcs):
+        expected = reference.predict(pc, engine.predicted_path[tidx],
+                                     tidx)
+        assert engine.should_eliminate(tidx, pc) == expected
+        predicted += expected
+        engine.train_commit(tidx, pc)
+        reference.train(pc, analysis.dead[tidx],
+                        engine.actual_path[tidx], tidx)
+    assert predicted > 0
+    assert engine.predictor.tags == reference.tags
+    assert engine.predictor.confs == reference.confs

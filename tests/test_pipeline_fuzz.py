@@ -80,3 +80,27 @@ def test_simulation_is_reproducible(fuzz_run, overrides):
     assert first.stats.cycles == second.stats.cycles
     assert first.stats.rf_reads == second.stats.rf_reads
     assert first.stats.eliminated == second.stats.eliminated
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(configs)
+def test_idle_cycle_jump_is_cycle_exact(fuzz_run, overrides):
+    """A timeline sampled every cycle makes the next sample the next
+    cycle, which stops every idle-cycle jump: that run is the
+    cycle-by-cycle reference the jumping run must equal exactly."""
+    from repro import obs
+
+    trace, analysis = fuzz_run
+    config = default_config(**overrides)
+    jumped = simulate(trace, config, analysis)
+    obs.configure_obs(obs.ObsConfig(sample_interval=1,
+                                    timeline_capacity=1 << 22))
+    try:
+        stepped = simulate(trace, config, analysis)
+    finally:
+        obs.reset_obs()
+    assert stepped.timeline["interval"] == 1  # never decimated
+    assert stepped.stats == jumped.stats
+    assert (stepped.l1d_misses, stepped.l2_misses) == \
+        (jumped.l1d_misses, jumped.l2_misses)
