@@ -2,17 +2,14 @@
 
 Where ``test_perf_simulators.py`` guards the legacy-vs-fused analysis
 structure, this file characterizes the per-pass kernel timings behind
-the block front end introduced with the ``columnar`` backend: for every
-registered backend it records a cold and a hot per-pass table (the
+the block front end: a cold and a hot per-pass table (the
 ``kernel:<pass>`` spans — fused, prediction stream, front-end columns,
-static-index decode), the simulator wall time in ``scalar`` and
-``block`` front-end modes, and the headline hot-path comparison the
-acceptance gate cares about — the fused pass plus the pipeline
-front-end pass, ``columnar`` vs ``python``, asserted at >= 2x.
+static-index decode), the fused pass plus the pipeline front-end pass
+over one decoded table (``hot_path_s``), and the simulator wall time in
+``scalar`` and ``block`` front-end modes.
 
-Run with ``pytest benchmarks/`` (NumPy-dependent parts skip cleanly
-when the optional dependency is absent); ``BENCH_pipeline.json`` is
-rewritten at the repo root, next to ``BENCH_kernels.json``.  See
+Run with ``pytest benchmarks/``; ``BENCH_pipeline.json`` is rewritten
+at the repo root, next to ``BENCH_kernels.json``.  See
 ``docs/benchmarks.md`` for the trajectory format.
 """
 
@@ -29,12 +26,10 @@ from repro.pipeline import default_config, simulate
 from repro.pipeline.core import _classify_fu
 from repro.workloads import get_workload
 
-#: timed reruns per measurement; the median filters scheduler noise in
-#: both directions (a lucky minimum is as misleading as an unlucky
-#: maximum when two medians are compared in a ratio gate)
+#: timed reruns per measurement; the median filters scheduler noise
 ROUNDS = 5
-#: untimed runs before measuring, so allocator pools, branch
-#: predictors, and per-trace backend caches are warm for round one
+#: untimed runs before measuring, so allocator pools and branch
+#: predictors are warm for round one
 WARMUP = 2
 
 
@@ -56,29 +51,28 @@ def _median_of(fn, rounds=ROUNDS, warmup=WARMUP):
     return statistics.median(samples)
 
 
-def _pass_table(backend, trace, analysis, fu, hot):
+def _pass_table(trace, analysis, fu, hot):
     """One per-pass ``kernel:<pass>`` timing table: run every pass
     once and harvest :func:`kernels.pass_totals`.  *hot* reuses one
-    decoded table (per-trace array caches warm); cold decodes fresh
-    so per-backend preparation is included."""
+    decoded table after a warm-up run; cold decodes fresh."""
     dead = analysis.dead
 
     def passes(decoded):
-        backend.fused(decoded)
-        backend.prediction_stream(decoded, dead)
-        backend.frontend(decoded, fu)
+        kernels.fused(decoded)
+        kernels.prediction_stream(decoded, dead)
+        kernels.frontend(decoded, fu)
 
     if hot:
         decoded = kernels.decode(trace, analysis.statics)
-        passes(decoded)  # warm the backend's per-trace caches
+        passes(decoded)
         kernels.reset_pass_totals()
-        backend.static_indices(trace)
+        kernels.static_indices(trace)
         passes(decoded)
     else:
         kernels.reset_pass_totals()
-        backend.static_indices(trace)
+        kernels.static_indices(trace)
         passes(kernels.DecodedTrace(trace, analysis.statics,
-                                    backend.static_indices(trace)))
+                                    kernels.static_indices(trace)))
     totals = kernels.pass_totals()
     kernels.reset_pass_totals()
     return {name: {"calls": bucket["calls"],
@@ -87,16 +81,14 @@ def _pass_table(backend, trace, analysis, fu, hot):
             for name, bucket in sorted(totals.items())}
 
 
-def _hot_path_seconds(backend, trace, analysis, fu):
-    """The acceptance-gate composite: the fused backward pass plus the
-    pipeline front-end pass over one warm decoded table."""
+def _hot_path_seconds(trace, analysis, fu):
+    """The fused backward pass plus the pipeline front-end pass over
+    one decoded table."""
     decoded = kernels.decode(trace, analysis.statics)
-    backend.fused(decoded)
-    backend.frontend(decoded, fu)
 
     def run():
-        backend.fused(decoded)
-        backend.frontend(decoded, fu)
+        kernels.fused(decoded)
+        kernels.frontend(decoded, fu)
 
     return _median_of(run)
 
@@ -109,30 +101,16 @@ def test_perf_pipeline_passes(benchmark, traced):
     doc = {
         "workload": trace.program.name,
         "dynamic": len(trace),
-        "backends": {},
+        "cold_passes": _pass_table(trace, analysis, fu, hot=False),
+        "hot_passes": _pass_table(trace, analysis, fu, hot=True),
+        "hot_path_s": round(_hot_path_seconds(trace, analysis, fu), 6),
         "simulate": {},
     }
-    hot_path = {}
-    for name in kernels.available_backends():
-        backend = kernels.get_backend(name)
-        hot_path[name] = _hot_path_seconds(backend, trace, analysis,
-                                           fu)
-        doc["backends"][name] = {
-            "cold_passes": _pass_table(backend, trace, analysis, fu,
-                                       hot=False),
-            "hot_passes": _pass_table(backend, trace, analysis, fu,
-                                      hot=True),
-            "hot_path_s": round(hot_path[name], 6),
-        }
-
     for mode in ("scalar", "block"):
         doc["simulate"][mode] = round(_median_of(
             lambda mode=mode: simulate(trace, config, analysis,
                                        frontend=mode),
             rounds=3, warmup=1), 6)
-    if "columnar" in hot_path:
-        doc["hot_path_speedup_columnar_vs_python"] = round(
-            hot_path["python"] / hot_path["columnar"], 3)
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_pipeline.json"), "w") as stream:
@@ -144,10 +122,3 @@ def test_perf_pipeline_passes(benchmark, traced):
 
     cycles = benchmark.pedantic(run, rounds=3, iterations=1)
     assert cycles > 0
-
-    if not kernels.HAVE_NUMPY:
-        pytest.skip("NumPy absent: columnar backend not registered, "
-                    "speedup gate not applicable")
-    assert hot_path["python"] / hot_path["columnar"] >= 2.0, \
-        "columnar fused+frontend hot path under 2x vs python: %r" % (
-            {k: round(v, 4) for k, v in hot_path.items()},)

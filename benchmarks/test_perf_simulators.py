@@ -6,9 +6,9 @@ and the timing model.  They exist so performance regressions in the
 hot loops show up in `pytest benchmarks/ --benchmark-only`.
 
 ``test_perf_kernels_sweep`` additionally writes ``BENCH_kernels.json``
-at the repo root: cold/hot kernel timings per backend plus the
-legacy-vs-fused analysis/sweep comparison (see ``docs/architecture.md``
-for the layer this measures).
+at the repo root: cold/hot kernel timings plus the legacy-vs-fused
+analysis/sweep comparison (see ``docs/kernels.md`` for the layer this
+measures).
 """
 
 import json
@@ -93,9 +93,9 @@ def _best_of(fn, rounds=3):
     return best
 
 
-def _time_backend(backend, trace, analysis):
+def _time_kernels(trace, analysis):
     """Cold/hot kernel timings plus the legacy-vs-fused comparison
-    for one backend over one labelled trace.
+    over one labelled trace.
 
     *legacy* reproduces the pre-kernel structure: every analysis
     consumer re-derives the static-index column and makes its own
@@ -108,30 +108,30 @@ def _time_backend(backend, trace, analysis):
 
     def decode():
         return kernels.DecodedTrace(trace, analysis.statics,
-                                    backend.static_indices(trace))
+                                    kernels.static_indices(trace))
 
     decoded = decode()
 
     def cold():
         fresh = decode()
-        backend.fused(fresh)
-        backend.prediction_stream(fresh, dead)
+        kernels.fused(fresh)
+        kernels.prediction_stream(fresh, dead)
 
     def hot():
-        backend.fused(decoded)
-        backend.prediction_stream(decoded, dead)
+        kernels.fused(decoded)
+        kernels.prediction_stream(decoded, dead)
 
     def legacy():
-        backend.deadness(decode())
-        backend.kill_distances(decode(), dead)
-        backend.static_counts(decode(), dead)
+        kernels.deadness(decode())
+        kernels.kill_distances(decode(), dead)
+        kernels.static_counts(decode(), dead)
         for _point in range(SWEEP_POINTS):
-            backend.prediction_stream(decode(), dead)
+            kernels.prediction_stream(decode(), dead)
 
     def fused():
         fresh = decode()
-        backend.fused(fresh)
-        backend.prediction_stream(fresh, dead)
+        kernels.fused(fresh)
+        kernels.prediction_stream(fresh, dead)
 
     legacy_s = _best_of(legacy)
     fused_s = _best_of(fused)
@@ -150,28 +150,22 @@ def test_perf_kernels_sweep(benchmark, traced):
         "workload": trace.program.name,
         "dynamic": len(trace),
         "sweep_points": SWEEP_POINTS,
-        "backends": {},
     }
-    for name in kernels.available_backends():
-        doc["backends"][name] = _time_backend(
-            kernels.get_backend(name), trace, analysis)
+    doc.update(_time_kernels(trace, analysis))
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_kernels.json"), "w") as stream:
         json.dump(doc, stream, indent=2, sort_keys=True)
         stream.write("\n")
 
-    active = kernels.get_backend()
     decoded = kernels.decode(trace)
 
     def run():
-        fused = active.fused(decoded)
-        stream = active.prediction_stream(decoded, analysis.dead)
+        fused = kernels.fused(decoded)
+        stream = kernels.prediction_stream(decoded, analysis.dead)
         return fused.deadness.n_dead + stream.n_events
 
     total = benchmark.pedantic(run, rounds=3, iterations=1)
     assert total > 0
-    for name, timings in doc["backends"].items():
-        assert timings["speedup"] >= 2.0, \
-            "fused+sweep path under 2x on backend %r: %r" % (name,
-                                                             timings)
+    assert doc["speedup"] >= 2.0, \
+        "fused+sweep path under 2x: %r" % (doc,)

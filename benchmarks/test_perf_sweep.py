@@ -18,8 +18,8 @@ records, over the same six-cell suite:
 The acceptance gate asserts the headline claim: with workers attaching
 mmap-backed column bundles instead of unpickling per-worker copies,
 the hot ``jobs=2`` sweep is at least 2x the plane-off throughput.  The
-gate needs NumPy (zero-copy hydration); the trajectory is recorded
-either way.  Byte-identity between the two modes is asserted here on
+gate needs NumPy (the plane's fast hydration path); the trajectory is
+recorded either way.  Byte-identity between the two modes is asserted here on
 the benchmarked cells and, exhaustively, by ``tests/test_fault_matrix``.
 
 ``BENCH_sweep.json`` is rewritten at the repo root; see
@@ -36,7 +36,6 @@ import time
 
 import pytest
 
-from repro import kernels
 from repro.harness.engine import CellSpec, Engine, EngineConfig
 from repro.lang import CompilerOptions
 
@@ -100,8 +99,6 @@ def test_perf_sweep(benchmark):
         "jobs": list(JOBS),
         "rounds": ROUNDS,
         "warmup": WARMUP,
-        "numpy": kernels.HAVE_NUMPY,
-        "backend": kernels.default_backend_name(),
         "modes": {},
     }
     roots = {}
@@ -158,9 +155,9 @@ def test_perf_sweep(benchmark):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    if not kernels.HAVE_NUMPY:
-        pytest.skip("NumPy absent: zero-copy hydration off, "
-                    "speedup gate not applicable")
+    pytest.importorskip(
+        "numpy", reason="NumPy absent: stdlib hydration, speedup gate "
+        "not applicable")
     assert hot_off / hot_on >= 2.0, \
         "hot jobs=2 sweep under 2x with the artifact plane: " \
         "on=%.4fs off=%.4fs" % (hot_on, hot_off)

@@ -9,11 +9,11 @@ geometries) under 3 seed repetitions and checks:
    Cohen's d;
 2. the JSON and CSV exports carry every cell with rep/seed columns;
 3. **byte-identity** — the rendered output (canonical table AND stats
-   tables) is identical between a cold serial run, a hot ``--jobs 2``
-   run, and a cold run on the ``columnar`` kernel backend; the exported
-   documents agree after stripping wall-time fields.
+   tables) is identical between a cold serial run and a hot
+   ``--jobs 2`` run; the exported documents agree after stripping
+   wall-time fields.
 
-The ``columnar`` leg needs NumPy.  Run from the repository root::
+Run from the repository root::
 
     PYTHONPATH=src python scripts/runtable_check.py
 """
@@ -70,7 +70,6 @@ def main() -> None:
     cache = os.path.join(workdir, "cache")
     cold_json = os.path.join(workdir, "cold.json")
     hot_json = os.path.join(workdir, "hot.json")
-    columnar_json = os.path.join(workdir, "columnar.json")
 
     print("== leg 1: cold cache, serial ==")
     cold = run_table(cache, cold_json, "--jobs", "1")
@@ -117,28 +116,16 @@ def main() -> None:
              "hot-parallel runs")
     print("byte-identical rendered output (cold/serial vs hot/--jobs 2)")
 
-    print("== leg 3: columnar kernel backend, cold cache ==")
-    # Cache keys do not name the backend, so this leg gets its own
-    # cache: on the shared one every stage would be a hit and the
-    # columnar kernels would never run.
-    columnar = run_table(os.path.join(workdir, "columnar-cache"),
-                         columnar_json, "--jobs", "2",
-                         "--backend", "columnar")
-    if columnar != cold:
-        fail("rendered output differs between python and columnar "
-             "backends")
-    print("byte-identical rendered output across kernel backends")
-
     documents = []
-    for path in (cold_json, hot_json, columnar_json):
+    for path in (cold_json, hot_json):
         with open(path) as stream:
             documents.append(scrub(json.load(stream)))
-    if not (documents[0] == documents[1] == documents[2]):
+    if documents[0] != documents[1]:
         fail("exported documents differ across legs (seconds "
              "stripped)")
-    print("exported cell documents identical across all legs")
+    print("exported cell documents identical across both legs")
 
-    print("== leg 4: csv export ==")
+    print("== leg 3: csv export ==")
     proc = subprocess.run(
         [sys.executable, "-m", "repro.harness", "table", "export",
          TABLE, "--scale", SCALE, "--reps", REPS, "--format", "csv",

@@ -71,7 +71,7 @@ class Trace:
                 except Exception:
                     pass  # fall through to a fresh decode
             from repro import kernels
-            self._sidx = kernels.get_backend().static_indices(self)
+            self._sidx = kernels.static_indices(self)
         return self._sidx
 
     def static_index(self, i: int) -> int:

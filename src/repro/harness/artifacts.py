@@ -1,18 +1,20 @@
-"""The zero-copy columnar artifact plane (cache tier two).
+"""The mmap-backed columnar artifact plane (cache tier two).
 
 The stage cache (``cachedir.py``) stores pickle blobs: correct, but a
 hot multi-process sweep pays to *unpickle the same trace in every
 worker, for every cell* — ~3 list-of-int decodes per cell plus the
 same bytes pickled back through the result pipe.  The artifact plane
-removes that data movement.  Each trace's decoded micro-op table and
-derived kernel columns are persisted **once**, as a checksummed flat
-columnar file that every process opens with ``mmap``:
+removes that data movement.  Each trace's dynamic columns, its decoded
+static-index column and its analysis results are persisted **once**,
+as a checksummed flat columnar file that every process opens with
+``mmap``:
 
 * read-only mappings share the OS page cache — N workers attaching the
   same bundle cost one physical copy;
-* columns are raw little-endian arrays at 64-byte-aligned offsets, so
-  NumPy backends get **zero-copy** ``frombuffer`` views and list-based
-  backends hydrate with one C-level ``array``/``bytearray`` pass;
+* columns are raw little-endian arrays at 64-byte-aligned offsets that
+  hydrate into plain lists with one C-level pass (NumPy's
+  ``frombuffer(...).tolist()`` when NumPy is importable, the stdlib
+  ``array`` module otherwise);
 * workers hand the parent an :class:`ArtifactHandle` (key + path +
   checksum + length) instead of the column data, so the result pipe
   carries ~100 bytes per cell instead of megabytes.
@@ -29,8 +31,8 @@ TOC ``columns`` maps name -> ``[dtype, count, offset]`` with offsets
 relative to the aligned data start; dtypes are ``i8`` (little-endian
 int64) and ``u1`` (one byte per element: bools, 0/1 label blobs, or
 raw pickled bytes).  The format is deliberately NumPy-*optional*: the
-plane works (and is tested) without NumPy, it is just no longer
-zero-copy there.
+plane works (and is tested) without NumPy, hydration is just slower
+there.
 
 Robustness contract (docs/harness.md): the plane is an accelerator,
 never a correctness dependency.  :meth:`ArtifactPlane.attach` returns
@@ -154,8 +156,6 @@ def u1_bytes(values) -> bytes:
     """One-byte-per-element raw bytes (bools, 0/1 blobs, raw bytes)."""
     if isinstance(values, (bytes, bytearray)):
         return bytes(values)
-    if np is not None and isinstance(values, np.ndarray):
-        return np.ascontiguousarray(values.astype(np.uint8)).tobytes()
     return bytes(bytearray(values))
 
 
@@ -272,7 +272,7 @@ class ColumnBundle:
             try:
                 mapped.close()
             except (BufferError, OSError):
-                # A live frombuffer view still references the map;
+                # A live buffer view still references the map;
                 # leave it to process teardown.
                 pass
 
@@ -287,16 +287,6 @@ class ColumnBundle:
             raise CorruptArtifact(
                 "column %r is %s, wanted %s" % (name, entry[0], dtype))
         return int(entry[1]), self._data_start + int(entry[2])
-
-    def array(self, name: str):
-        """Zero-copy NumPy view of one column (read-only, backed by
-        the mapped pages).  NumPy-only; list backends use the
-        ``ints``/``bools``/``blob`` hydrators."""
-        dtype = self._columns[name][0]
-        count, start = self._locate(name, dtype)
-        kind = np.dtype("<i8") if dtype == "i8" else np.bool_
-        return np.frombuffer(self._buffer, dtype=kind, count=count,
-                             offset=start)
 
     def ints(self, name: str) -> List[int]:
         """One ``i8`` column as a plain list of Python ints."""
@@ -569,13 +559,9 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
                        addrs: Sequence[int],
                        output: Sequence[object]
                        ) -> Optional[ArtifactHandle]:
-    """Persist one trace's dynamic columns plus every derived kernel
-    column the columnar backend can precompute (static indices, word
-    addresses, the sorted read/write-successor key indexes, and the
-    front end's control/cond-prefix streams)."""
-    from repro.analysis.statics import StaticTable
+    """Persist one trace's dynamic columns, its decoded static-index
+    column and the emulator output."""
     from repro.emulator.trace import Trace
-    from repro.kernels import columnar
 
     trace = Trace(program)
     trace.pcs = list(pcs)
@@ -588,7 +574,6 @@ def store_trace_bundle(plane: ArtifactPlane, key: str, program,
         ("sidx", "i8", i8_bytes(trace.static_indices())),
         ("out", "u1", pickle.dumps(list(output), protocol=2)),
     ]
-    columns.extend(columnar.plane_columns(trace, StaticTable(program)))
     return plane.store(key, "trace", len(trace.pcs), columns)
 
 

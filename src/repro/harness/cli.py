@@ -118,13 +118,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the mmap-backed columnar "
                              "artifact plane; cells unpickle from the "
                              "stage cache instead (REPRO_ARTIFACTS=0)")
-    from repro.kernels import available_backends
-
-    parser.add_argument("--backend", default=defaults.backend,
-                        choices=available_backends(), metavar="NAME",
-                        help="trace-kernel backend (%s; default: "
-                             "REPRO_BACKEND or 'python')"
-                             % ", ".join(available_backends()))
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -136,7 +129,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                         retries=defaults.retries,
                         retry_backoff=defaults.retry_backoff,
                         partial=args.partial or defaults.partial,
-                        backend=args.backend,
                         artifacts=not args.no_artifacts)
 
 
@@ -660,12 +652,9 @@ def _cache_main(argv: List[str]) -> int:
 
     cache = CacheDir(args.cache_dir)
     if args.action == "stats":
-        from repro import kernels
-
         stats = cache.stats()
         total = stats.pop("total")
         print("cache root: %s" % cache.root)
-        print("active backend: %s" % kernels.default_backend_name())
         for stage in sorted(stats):
             bucket = stats[stage]
             print("  %-10s %6d entries  %10.1f KiB" %
@@ -749,8 +738,8 @@ def _obs_main(argv: List[str]) -> int:
                              "earlier runs in the same log")
     parser.add_argument("--any-fingerprint", action="store_true",
                         help="regress: compare across config "
-                             "fingerprints (backend/experiments/"
-                             "scale) instead of requiring a match")
+                             "fingerprints (experiments/scale) "
+                             "instead of requiring a match")
     parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                         help="serve: bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0, metavar="PORT",

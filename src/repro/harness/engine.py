@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import kernels, obs
+from repro import obs
 from repro.analysis import DeadnessAnalysis, analyze_deadness
 from repro.analysis.statics import StaticTable
 from repro.emulator import Trace, run_program
@@ -112,10 +112,6 @@ class EngineConfig:
     #: report cells that fail even after retries in run metadata and
     #: continue with the surviving cells, instead of aborting the sweep
     partial: bool = False
-    #: kernel backend name ("" = env/default resolution, see
-    #: :mod:`repro.kernels`); not part of any cache key, because
-    #: backends are byte-identical by contract
-    backend: str = ""
     #: enable the mmap-backed columnar artifact plane (second cache
     #: tier, :mod:`repro.harness.artifacts`); requires ``cache`` and a
     #: little-endian host, silently off otherwise
@@ -144,7 +140,7 @@ def config_from_env() -> EngineConfig:
     """Engine defaults, overridable through environment variables
     (``REPRO_JOBS``, ``REPRO_CACHE=0``, ``REPRO_CACHE_DIR``,
     ``REPRO_CELL_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
-    ``REPRO_PARTIAL=1``, ``REPRO_BACKEND``, ``REPRO_ARTIFACTS=0``)
+    ``REPRO_PARTIAL=1``, ``REPRO_ARTIFACTS=0``)
     so embeddings like pytest pick them up without plumbing flags.
     Malformed numeric values raise ``ValueError`` naming the offending
     variable."""
@@ -156,7 +152,6 @@ def config_from_env() -> EngineConfig:
         retries=_env_int("REPRO_RETRIES", "1"),
         retry_backoff=_env_float("REPRO_RETRY_BACKOFF", "0.05"),
         partial=os.environ.get("REPRO_PARTIAL", "0") == "1",
-        backend=os.environ.get("REPRO_BACKEND", ""),
         artifacts=os.environ.get("REPRO_ARTIFACTS", "1") != "0",
     )
 
@@ -339,10 +334,6 @@ def _compute_cell_payload(spec: CellSpec,
     if "worker.crash" in injected:
         raise faults.WorkerCrash(
             "injected worker crash in cell %s" % spec.describe())
-    if config.backend:
-        # Pool workers may be spawned (not forked): pin the kernel
-        # backend from the config so workers and parent always agree.
-        kernels.set_default_backend(config.backend)
     if cache is None and config.cache:
         cache = CacheDir(config.cache_dir)
     if plane is _PLANE_AUTO:
@@ -797,7 +788,6 @@ class Engine:
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config if config is not None else config_from_env()
-        kernels.set_default_backend(self.config.backend or None)
         self.cache: Optional[CacheDir] = (
             CacheDir(self.config.cache_dir) if self.config.cache
             else None)
@@ -1218,7 +1208,6 @@ class Engine:
             "cell_timeout": self.config.cell_timeout,
             "retries": self.config.retries,
             "partial": self.config.partial,
-            "backend": kernels.default_backend_name(),
             "artifacts": self.plane is not None,
         }
 
@@ -1260,8 +1249,7 @@ def get_engine() -> Engine:
 
 
 def peek_engine() -> Optional[Engine]:
-    """The process-wide engine if one exists, without creating one
-    (creation pins the configured kernel backend process-wide)."""
+    """The process-wide engine if one exists, without creating one."""
     return _ENGINE
 
 

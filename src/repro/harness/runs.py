@@ -77,7 +77,6 @@ def clear_cache() -> None:
     _MEMO.clear()
     engine = peek_engine()
     # Only clear a live engine's memos: instantiating one here would
-    # resurrect the singleton after reset_engine() — and pin the
-    # env-selected kernel backend as a process-wide side effect.
+    # resurrect the singleton after reset_engine().
     if engine is not None:
         engine.clear_memos()

@@ -2,22 +2,10 @@
 
 The hot loops of every analysis consumer — backward deadness, kill
 distance, per-static locality counters, the per-PC prediction event
-stream — live here as *kernels* over the trace's structure-of-arrays
-columns, behind a backend registry:
-
-* ``python``  — the reference backend (:mod:`repro.kernels.ref`), the
-  byte-exact port of the original per-consumer loops;
-* ``columnar`` — NumPy array operations
-  (:mod:`repro.kernels.columnar`); registered only when the optional
-  NumPy dependency is importable (``HAVE_NUMPY``), byte-identical to
-  ``python`` by contract and enforced by the property suite.
-
-Select a backend with ``REPRO_BACKEND=<name>``, the engine's
-``--backend`` flag / :class:`~repro.harness.engine.EngineConfig`, or
-:func:`set_default_backend`.  Because backends are byte-identical, the
-engine's cache keys do not name the active backend: a backend switch
-reuses every cached entry.  See ``docs/architecture.md`` for the layer
-diagram and the backend contract.
+stream, the pipeline front end's decode block — live here as timed
+*kernel passes* over the trace's structure-of-arrays columns
+(:mod:`repro.kernels.passes`), returning the canonical result columns
+of :mod:`repro.kernels.base`.  See ``docs/kernels.md``.
 
 Module-level helpers bind the kernels to the repo's concrete types:
 :func:`decode` builds the :class:`DecodedTrace` (reusing the trace's
@@ -28,58 +16,57 @@ once and every sweep point replays it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernels.base import (
     DeadnessColumns,
     DecodedTrace,
     FrontendColumns,
     FusedColumns,
-    KernelBackend,
     KillColumns,
     PredictionStream,
     StaticCounts,
-    available_backends,
-    default_backend_name,
-    get_backend,
     pass_totals,
-    register_backend,
     reset_pass_totals,
-    set_default_backend,
 )
-from repro.kernels.columnar import HAVE_NUMPY
-from repro.kernels.ref import PythonBackend
-
-register_backend(PythonBackend())
-if HAVE_NUMPY:
-    from repro.kernels.columnar import ColumnarBackend
-
-    register_backend(ColumnarBackend())
+from repro.kernels.passes import (
+    deadness,
+    frontend,
+    fused,
+    kill_distances,
+    prediction_stream,
+    static_counts,
+    static_indices,
+)
 
 __all__ = [
     "DeadnessColumns",
     "DecodedTrace",
     "FrontendColumns",
     "FusedColumns",
-    "HAVE_NUMPY",
-    "KernelBackend",
     "KillColumns",
     "PredictionStream",
     "StaticCounts",
-    "available_backends",
+    "deadness",
     "decode",
     "default_backend_name",
-    "get_backend",
+    "frontend",
+    "fused",
+    "kill_distances",
     "pass_totals",
+    "prediction_stream",
     "prediction_stream_for",
-    "register_backend",
     "reset_pass_totals",
-    "set_default_backend",
+    "static_counts",
+    "static_indices",
 ]
 
 
-def decode(trace, statics=None,
-           backend: Optional[KernelBackend] = None) -> DecodedTrace:
+def default_backend_name() -> str:
+    """Always ``"python"``: the name benchmark records report for the
+    one kernel implementation."""
+    return "python"
+
+
+def decode(trace, statics=None) -> DecodedTrace:
     """The decoded micro-op table for *trace*.
 
     Reuses the trace's cached static-index column when available (any
@@ -90,10 +77,7 @@ def decode(trace, statics=None,
         from repro.analysis.statics import StaticTable
         statics = StaticTable(trace.program)
     column = getattr(trace, "static_indices", None)
-    if column is not None:
-        sidx = column()
-    else:
-        sidx = (backend or get_backend()).static_indices(trace)
+    sidx = column() if column is not None else static_indices(trace)
     return DecodedTrace(trace=trace, statics=statics, sidx=sidx)
 
 
@@ -103,6 +87,6 @@ def prediction_stream_for(analysis) -> PredictionStream:
     stream = getattr(analysis, "_prediction_stream", None)
     if stream is None:
         decoded = decode(analysis.trace, analysis.statics)
-        stream = get_backend().prediction_stream(decoded, analysis.dead)
+        stream = prediction_stream(decoded, analysis.dead)
         analysis._prediction_stream = stream
     return stream

@@ -1,33 +1,17 @@
-"""Kernel contract, result columns, backend registry, pass timings.
+"""Kernel result columns, pass timing and canonical forms.
 
 A *kernel* is one hot walk over a committed trace's structure-of-arrays
-columns.  Every backend implements the same kernels over the same
-:class:`DecodedTrace` (the decoded micro-op table: the per-program
+columns (the passes themselves are in :mod:`repro.kernels.passes`).
+Every pass takes a :class:`DecodedTrace` — the per-program
 :class:`~repro.analysis.statics.StaticTable` plus the precomputed
-static-index column for the whole trace) and must produce **canonical,
-byte-identical** results:
+static-index column for the whole trace — and returns one of the
+column types below in **canonical** form: kill distances are ordered
+by the *dead write's* dynamic index (ascending), ``by_provenance`` tags
+and per-static counter keys are sorted ascending, and every column
+holds plain Python values (``bool`` labels, ``int`` counters).  The
+harness caches and compares these results byte for byte.
 
-* ``static_indices`` — the decode kernel (pc stream → static indices);
-* ``fused``          — one backward pass computing deadness labels,
-  kill distances, and per-static instance counters together;
-* ``deadness``       — the deadness subset of ``fused`` (three-pass
-  comparison baseline and ``track_stores`` variants);
-* ``static_counts`` / ``kill_distances`` — label-consuming walks for
-  analyses reconstructed from cached deadness labels;
-* ``prediction_stream`` — the per-PC event stream (eligible instances
-  and conditional branches) that predictor evaluation walks;
-* ``frontend``       — the pipeline decode block: per-dynamic gathered
-  operand/memory/FU columns plus the control-transfer event stream
-  (:class:`FrontendColumns`) that the timing simulator's block-wise
-  front end consumes instead of per-instruction table dispatch.
-
-Canonical-form rules (what "byte-identical" means across backends):
-kill distances are ordered by the *dead write's* dynamic index
-(ascending), ``by_provenance`` tags and per-static counter keys are
-sorted ascending, and every column has the exact element types the
-reference backend produces (``bool`` labels, ``int`` counters).
-
-Every kernel invocation is timed: the per-pass wall time feeds the
+Every pass invocation is timed: the per-pass wall time feeds the
 module-level accumulator (:func:`pass_totals`, used by the kernel
 benchmarks) and — when telemetry is on — a ``kernel:<pass>`` span plus
 ``repro_kernel_pass_*`` metrics, so fused-pass savings are visible in
@@ -36,10 +20,8 @@ benchmarks) and — when telemetry is on — a ``kernel:<pass>`` span plus
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro import obs
 
@@ -48,17 +30,12 @@ __all__ = [
     "DecodedTrace",
     "FrontendColumns",
     "FusedColumns",
-    "KernelBackend",
     "KillColumns",
     "PredictionStream",
     "StaticCounts",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
     "pass_totals",
-    "register_backend",
+    "record_pass",
     "reset_pass_totals",
-    "set_default_backend",
 ]
 
 
@@ -98,7 +75,7 @@ class KillColumns:
     """Kill distances of dead register writes, victim-ascending."""
 
     #: distance to the overwriting write, ordered by the dead write's
-    #: dynamic index (canonical across backends)
+    #: dynamic index (the canonical order)
     distances: List[int] = field(default_factory=list)
     unkilled: int = 0
     #: provenance tag -> distances (tags sorted, victim-ascending)
@@ -205,8 +182,8 @@ def reset_pass_totals() -> None:
     _PASS_TOTALS.clear()
 
 
-def _record_pass(backend: str, name: str, items: int,
-                 seconds: float) -> None:
+def record_pass(name: str, items: int, seconds: float) -> None:
+    """Account one pass invocation that walked *items* elements."""
     bucket = _PASS_TOTALS.setdefault(
         name, {"calls": 0, "items": 0, "seconds": 0.0})
     bucket["calls"] += 1
@@ -215,188 +192,14 @@ def _record_pass(backend: str, name: str, items: int,
     collector = obs.get_collector()
     if collector is None:
         return
-    collector.tracer.add("kernel:%s" % name, seconds, backend=backend,
-                         items=items)
+    collector.tracer.add("kernel:%s" % name, seconds, items=items)
     collector.registry.counter(
         "repro_kernel_pass_total", "kernel pass executions",
-        kernel=name, backend=backend).inc()
+        kernel=name).inc()
     collector.registry.counter(
         "repro_kernel_pass_items_total",
         "dynamic items walked by kernel passes",
-        kernel=name, backend=backend).inc(items)
+        kernel=name).inc(items)
     collector.registry.histogram(
         "repro_kernel_pass_seconds", "kernel pass wall time",
-        kernel=name, backend=backend).observe(seconds)
-
-
-class KernelBackend:
-    """One implementation of the trace kernels (see module docstring).
-
-    Subclasses implement the ``_``-prefixed methods; the public methods
-    add the pass timing shared by every backend.
-    """
-
-    name = "abstract"
-
-    # -- public, timed entry points -----------------------------------
-
-    def static_indices(self, trace) -> Sequence[int]:
-        started = time.perf_counter()
-        result = self._static_indices(trace)
-        _record_pass(self.name, "decode", len(result),
-                     time.perf_counter() - started)
-        return result
-
-    def fused(self, decoded: DecodedTrace,
-              track_stores: bool = True) -> FusedColumns:
-        started = time.perf_counter()
-        result = self._fused(decoded, track_stores)
-        _record_pass(self.name, "fused", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
-    def deadness(self, decoded: DecodedTrace,
-                 track_stores: bool = True) -> DeadnessColumns:
-        started = time.perf_counter()
-        result = self._deadness(decoded, track_stores)
-        _record_pass(self.name, "deadness", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
-    def static_counts(self, decoded: DecodedTrace,
-                      dead: Sequence[bool]) -> StaticCounts:
-        started = time.perf_counter()
-        result = self._static_counts(decoded, dead)
-        _record_pass(self.name, "static-counts", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
-    def kill_distances(self, decoded: DecodedTrace,
-                       dead: Sequence[bool]) -> KillColumns:
-        started = time.perf_counter()
-        result = self._kill_distances(decoded, dead)
-        _record_pass(self.name, "kill-distance", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
-    def prediction_stream(self, decoded: DecodedTrace,
-                          dead: Sequence[bool]) -> PredictionStream:
-        started = time.perf_counter()
-        result = self._prediction_stream(decoded, dead)
-        _record_pass(self.name, "prediction-stream", result.n_events,
-                     time.perf_counter() - started)
-        return result
-
-    def frontend(self, decoded: DecodedTrace,
-                 fu: Sequence[int]) -> FrontendColumns:
-        """The pipeline decode block for *decoded*; *fu* is the
-        caller's per-static function-unit classification (gathered
-        alongside the static fact tables)."""
-        started = time.perf_counter()
-        result = self._frontend(decoded, fu)
-        _record_pass(self.name, "frontend", len(decoded),
-                     time.perf_counter() - started)
-        return result
-
-    # -- backend implementations --------------------------------------
-
-    def _static_indices(self, trace) -> Sequence[int]:
-        raise NotImplementedError
-
-    def _fused(self, decoded: DecodedTrace,
-               track_stores: bool) -> FusedColumns:
-        raise NotImplementedError
-
-    def _deadness(self, decoded: DecodedTrace,
-                  track_stores: bool) -> DeadnessColumns:
-        raise NotImplementedError
-
-    def _static_counts(self, decoded: DecodedTrace,
-                       dead: Sequence[bool]) -> StaticCounts:
-        raise NotImplementedError
-
-    def _kill_distances(self, decoded: DecodedTrace,
-                        dead: Sequence[bool]) -> KillColumns:
-        raise NotImplementedError
-
-    def _prediction_stream(self, decoded: DecodedTrace,
-                           dead: Sequence[bool]) -> PredictionStream:
-        raise NotImplementedError
-
-    def _frontend(self, decoded: DecodedTrace,
-                  fu: Sequence[int]) -> FrontendColumns:
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------
-# Canonicalization helpers shared by the backends
-# ---------------------------------------------------------------------
-
-
-def canonical_kills(pairs: List[Tuple[int, int, str]],
-                    unkilled: int) -> KillColumns:
-    """Build :class:`KillColumns` from ``(victim, distance, tag)``
-    triples in victim-ascending order (caller guarantees the order)."""
-    distances = [distance for _victim, distance, _tag in pairs]
-    grouped: Dict[str, List[int]] = {}
-    for _victim, distance, tag in pairs:
-        grouped.setdefault(tag, []).append(distance)
-    by_provenance = {tag: grouped[tag] for tag in sorted(grouped)}
-    return KillColumns(distances=distances, unkilled=unkilled,
-                       by_provenance=by_provenance)
-
-
-def canonical_counts(totals: Dict[int, int],
-                     deads: Dict[int, int]) -> StaticCounts:
-    """Sort counter keys ascending (the canonical form)."""
-    return StaticCounts(
-        totals={si: totals[si] for si in sorted(totals)},
-        deads={si: deads[si] for si in sorted(deads)})
-
-
-# ---------------------------------------------------------------------
-# Registry and selection
-# ---------------------------------------------------------------------
-
-_BACKENDS: Dict[str, KernelBackend] = {}
-_DEFAULT: Optional[str] = None
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Pin the process-default backend (``None`` restores env/default
-    resolution).  The harness engine applies its configured backend
-    here so pool workers and the parent always agree."""
-    global _DEFAULT
-    if name:
-        if name not in _BACKENDS:
-            raise KeyError("unknown kernel backend %r (have: %s)" %
-                           (name, ", ".join(available_backends())))
-        _DEFAULT = name
-    else:
-        _DEFAULT = None
-
-
-def default_backend_name() -> str:
-    """The active backend name: pinned > ``REPRO_BACKEND`` > python."""
-    if _DEFAULT:
-        return _DEFAULT
-    return os.environ.get("REPRO_BACKEND", "") or "python"
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend by name (default: the active backend)."""
-    resolved = name or default_backend_name()
-    backend = _BACKENDS.get(resolved)
-    if backend is None:
-        raise KeyError("unknown kernel backend %r (have: %s)" %
-                       (resolved, ", ".join(available_backends())))
-    return backend
+        kernel=name).observe(seconds)

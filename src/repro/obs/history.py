@@ -2,7 +2,7 @@
 
 Every harness invocation appends one checksummed JSON line to
 ``<cache-dir>/obs-history/history.jsonl``: run id, a config
-fingerprint (backend, experiment set, scale), total wall time,
+fingerprint (experiment set, scale), total wall time,
 per-stage cache totals, per-kernel-pass timing (the uops.info-style
 latency/throughput table, tracked *over time* instead of as a point
 measurement), and the robustness counters.  The record survives the
@@ -67,13 +67,12 @@ def _checksum(record: Dict[str, object]) -> str:
 
 
 def fingerprint(record: Dict[str, object]) -> str:
-    """What makes two runs comparable: backend, experiment set, scale.
+    """What makes two runs comparable: experiment set and scale.
     Parallelism and caching are deliberately excluded — they change
     how fast the same work happens, which is exactly what the
     trajectory is supposed to expose."""
     config = record.get("config") or {}
-    return "%s|%s|%s" % (
-        config.get("backend", "?"),
+    return "%s|%s" % (
         ",".join(sorted(config.get("experiments") or [])),
         config.get("scale", 1.0))
 
@@ -83,7 +82,7 @@ def kernel_pass_table(collector=None) -> Dict[str, Dict[str, float]]:
 
     With a live collector the table is derived from the merged
     registry (``repro_kernel_pass_*`` series summed across ``worker``
-    and ``backend`` labels — pool workers included); without one it
+    labels — pool workers included); without one it
     falls back to the in-process accumulator
     (:func:`repro.kernels.base.pass_totals`), which under ``jobs>1``
     only sees parent-side passes.
@@ -125,7 +124,6 @@ def make_record(run_doc: Dict[str, object],
         "run_id": run_doc.get("run_id", "?"),
         "started_at": run_doc.get("started_at", "?"),
         "config": {
-            "backend": engine.get("backend", "?"),
             "jobs": engine.get("jobs", 1),
             "experiments": [str(entry.get("id", "?")) for entry
                             in run_doc.get("experiments") or []],
@@ -308,19 +306,18 @@ def render_history(records: Sequence[Dict[str, object]],
             text += "\n%d corrupt line%s skipped" % (
                 skipped, "" if skipped == 1 else "s")
         return text
-    lines = ["%-22s %-19s %8s %9s %-8s %5s %s" %
-             ("run id", "started", "wall(s)", "instrs", "backend",
-              "jobs", "experiments")]
+    lines = ["%-22s %-19s %8s %9s %5s %s" %
+             ("run id", "started", "wall(s)", "instrs", "jobs",
+              "experiments")]
     for record in records:
         config = record.get("config") or {}
         ids = config.get("experiments") or []
         shown = ",".join(ids[:8]) + ("..." if len(ids) > 8 else "")
-        lines.append("%-22s %-19s %8.1f %9d %-8s %5s %s" % (
+        lines.append("%-22s %-19s %8.1f %9d %5s %s" % (
             record.get("run_id", "?"), record.get("started_at", "?"),
             float(record.get("wall_s", 0.0)),
             int(record.get("instructions", 0)),
-            config.get("backend", "?"), config.get("jobs", "?"),
-            shown))
+            config.get("jobs", "?"), shown))
     lines.append("%d record%s" % (len(records),
                                   "" if len(records) == 1 else "s")
                  + (", %d corrupt line%s skipped" %

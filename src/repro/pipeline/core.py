@@ -6,8 +6,8 @@ resource freed at commit is available to rename in the same cycle
 (idealized but consistent across configurations).
 
 Front-end modes (``frontend=`` / ``REPRO_FRONTEND``): the default
-``block`` mode consumes pre-decoded column blocks from the active
-kernel backend's ``frontend`` pass — the fetch buffer is a contiguous
+``block`` mode consumes pre-decoded column blocks from the kernel
+layer's ``frontend`` pass — the fetch buffer is a contiguous
 trace window advanced block-wise (next-stopper bisect + conditional
 prefix sums for the branch counters), rename reads per-dynamic gathered
 columns, and the gshare/RAS precomputation walks only control
@@ -299,8 +299,7 @@ class Simulator:
         self.frontend = frontend
         if frontend == "block":
             decoded = kernels.decode(trace, self.statics)
-            self._columns = kernels.get_backend().frontend(
-                decoded, self._fu_class)
+            self._columns = kernels.frontend(decoded, self._fu_class)
             self._mispredict, self._stops = _control_flags_sparse(
                 trace, self.statics, self.config, self._columns)
             self._ends_group = None

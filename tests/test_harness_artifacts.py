@@ -1,9 +1,9 @@
-"""The zero-copy columnar artifact plane (``harness/artifacts.py``):
+"""The mmap-backed columnar artifact plane (``harness/artifacts.py``):
 bundle format integrity, the plane's robustness contract
 (quarantine-on-corruption, best-effort stores, orphaned-tmp sweeping),
 and — the property the whole tier rests on — byte-identical round
 trips of every persisted column against fresh in-memory derivation,
-for every registered kernel backend, with and without NumPy."""
+with and without NumPy."""
 
 from __future__ import annotations
 
@@ -40,11 +40,6 @@ from repro.harness.cachedir import CacheDir
 from repro.harness.engine import _fused_to_doc
 from repro.pipeline.core import _classify_fu
 from repro.workloads import get_workload
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="NumPy not installed")
-
-BACKENDS = ["python", pytest.param("columnar", marks=needs_numpy)]
 
 KEY = "ab" + "0" * 62  # well-formed plane key (hex-shaped, sharded)
 KEY2 = "cd" + "1" * 62
@@ -89,18 +84,6 @@ class TestFormat:
             _count, start = bundle._locate(
                 name, bundle._columns[name][0])
             assert start % 64 == 0
-
-    @needs_numpy
-    def test_array_views_are_zero_copy(self):
-        import numpy as np
-
-        blob = encode_bundle("demo", 3, _sample_columns())
-        bundle = _parse(blob)
-        view = bundle.array("ints")
-        assert view.dtype == np.dtype("<i8")
-        assert not view.flags.owndata  # a view of the buffer, no copy
-        assert view.tolist() == [0, 1, -5, 1 << 40]
-        assert bundle.array("flags").dtype == np.bool_
 
     def test_bad_magic_raises(self):
         blob = encode_bundle("demo", 1, [])
@@ -288,22 +271,19 @@ def traced():
 class TestRoundTrip:
     """The load-bearing property: every column a bundle persists
     hydrates byte-identically (pickle-equal, element types included)
-    to deriving it fresh from the trace — per registered backend."""
+    to deriving it fresh from the trace."""
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("workload_name", ["sort", "matmul",
                                                "rle"])
-    def test_trace_bundle_round_trip(self, tmp_path, backend_name,
-                                     workload_name):
-        backend = kernels.get_backend(backend_name)
+    def test_trace_bundle_round_trip(self, tmp_path, workload_name):
         machine, trace = get_workload(workload_name).run(scale=0.3)
         statics = StaticTable(trace.program)
         fu = _classify_fu(statics)
 
         reference_sidx = list(trace.static_indices())
         decoded = kernels.decode(trace, statics)
-        reference = (backend.fused(decoded),
-                     backend.frontend(decoded, fu))
+        reference = (kernels.fused(decoded),
+                     kernels.frontend(decoded, fu))
 
         plane = ArtifactPlane(str(tmp_path))
         handle = store_trace_bundle(plane, KEY, trace.program,
@@ -325,9 +305,22 @@ class TestRoundTrip:
         assert hydrated.static_indices() == reference_sidx
 
         redecoded = kernels.decode(hydrated, statics)
-        roundtrip = (backend.fused(redecoded),
-                     backend.frontend(redecoded, fu))
+        roundtrip = (kernels.fused(redecoded),
+                     kernels.frontend(redecoded, fu))
         assert pickle.dumps(roundtrip) == pickle.dumps(reference)
+
+    def test_trace_bundle_holds_only_raw_columns(self, tmp_path, traced):
+        """A trace bundle stores the dynamic columns, the decoded
+        static-index column and the output — nothing derived from them
+        that no reader hydrates."""
+        trace, output = traced
+        plane = ArtifactPlane(str(tmp_path))
+        assert store_trace_bundle(plane, KEY, trace.program, trace.pcs,
+                                  trace.taken, trace.addrs,
+                                  output) is not None
+        bundle = plane.attach(KEY)
+        assert sorted(bundle._columns) == ["addrs", "out", "pcs",
+                                           "sidx", "taken"]
 
     def test_analysis_bundle_round_trip(self, tmp_path, traced):
         trace, _output = traced
@@ -359,21 +352,18 @@ class TestRoundTrip:
         assert pickle.dumps(rebuilt) == pickle.dumps(fused_doc)
 
     def test_no_numpy_subprocess_round_trip(self, tmp_path):
-        """The plane works (just not zero-copy) without NumPy: a
-        subprocess whose ``numpy`` import fails stores a bundle,
-        re-attaches it, and gets byte-identical hydration through the
-        list backends."""
+        """The plane works without NumPy: a subprocess whose ``numpy``
+        import fails stores a bundle, re-attaches it, and gets
+        byte-identical hydration through the stdlib ``array`` path."""
         (tmp_path / "numpy.py").write_text(
             "raise ImportError('stubbed out for the plane test')\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), src))
-        env.pop("REPRO_BACKEND", None)
         script = (
             "import pickle, tempfile\n"
             "from repro import kernels\n"
-            "assert not kernels.HAVE_NUMPY\n"
             "from repro.analysis.statics import StaticTable\n"
             "from repro.emulator.trace import Trace\n"
             "from repro.harness.artifacts import (ArtifactPlane,\n"
@@ -400,13 +390,9 @@ class TestRoundTrip:
             "assert hydrated.taken == trace.taken\n"
             "assert hydrated.static_indices() == "
             "trace.static_indices()\n"
-            "for name in kernels.available_backends():\n"
-            "    backend = kernels.get_backend(name)\n"
-            "    ref = backend.frontend(\n"
-            "        kernels.decode(trace, statics), fu)\n"
-            "    got = backend.frontend(\n"
-            "        kernels.decode(hydrated, statics), fu)\n"
-            "    assert pickle.dumps(got) == pickle.dumps(ref), name\n"
+            "ref = kernels.frontend(kernels.decode(trace, statics), fu)\n"
+            "got = kernels.frontend(kernels.decode(hydrated, statics), fu)\n"
+            "assert pickle.dumps(got) == pickle.dumps(ref)\n"
             "print('no-numpy-plane-ok')\n")
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True,

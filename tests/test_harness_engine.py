@@ -3,15 +3,10 @@ and serial/parallel equivalence (docs/harness.md)."""
 
 from __future__ import annotations
 
-import glob
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from repro import kernels
 from repro.harness.cachedir import CacheDir, MISS, stable_hash
 from repro.harness.engine import CellSpec, Engine, EngineConfig
 from repro.lang import CompilerOptions
@@ -57,44 +52,6 @@ class TestCacheKeys:
 
         with pytest.raises(TypeError):
             value_key(object())
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMPY,
-                        reason="NumPy absent: no second backend")
-    def test_backend_switch_reuses_every_entry(self, tmp_path):
-        """Backends are byte-identical, so the cache keys leave the
-        backend out: a rerun under ``columnar`` of a cache filled under
-        ``python`` recomputes no analysis/paths/timing entry and prints
-        the same results.  Fresh processes keep in-process memos out,
-        and a clean ``REPRO_*`` environment keeps fault plans out."""
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = {name: value for name, value in os.environ.items()
-               if not name.startswith("REPRO_")}
-        env["PYTHONPATH"] = src
-        cache_dir = str(tmp_path / "cache")
-        runs_glob = os.path.join(cache_dir, "runs", "*.json")
-        stages = []
-        for backend in ("python", "columnar"):
-            before = set(glob.glob(runs_glob))
-            subprocess.run(
-                [sys.executable, "-m", "repro.harness", "F8", "A6",
-                 "--scale", "0.2", "--cache-dir", cache_dir,
-                 "--backend", backend,
-                 "--json", str(tmp_path / (backend + ".json"))],
-                check=True, capture_output=True, env=env)
-            (run_file,) = set(glob.glob(runs_glob)) - before
-            with open(run_file) as handle:
-                document = json.load(handle)
-            assert document["engine"]["backend"] == backend
-            stages.append(document["totals"]["stages"])
-        cold, hot = stages
-        for stage in ("analysis", "paths", "timing"):
-            assert cold[stage]["misses"] > 0, stage
-            assert hot[stage]["misses"] == 0, stage
-        with open(str(tmp_path / "python.json"), "rb") as handle:
-            reference = handle.read()
-        with open(str(tmp_path / "columnar.json"), "rb") as handle:
-            assert handle.read() == reference
 
 
 class TestStageCache:

@@ -1,5 +1,5 @@
-"""The trace-kernel layer: backend registry, fused-pass equivalence,
-prediction streams, pass timings (docs/architecture.md)."""
+"""The trace-kernel layer: fused-pass equivalence, prediction streams,
+front-end columns, pass timings (docs/kernels.md)."""
 
 from __future__ import annotations
 
@@ -15,27 +15,6 @@ from repro.analysis.distance import kill_distances
 from repro.pipeline.core import _classify_fu
 from repro.workloads import get_workload
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="NumPy absent: columnar backend "
-    "not registered (optional dependency)")
-BACKENDS = ("python", pytest.param("columnar", marks=needs_numpy))
-
-
-@pytest.fixture
-def stub_backend(monkeypatch):
-    """A copy of the reference backend registered as ``stub`` for one
-    test, so selection tests need neither NumPy nor a second shipped
-    backend."""
-    from repro.kernels.base import _BACKENDS
-    from repro.kernels.ref import PythonBackend
-
-    class StubBackend(PythonBackend):
-        name = "stub"
-
-    monkeypatch.setitem(_BACKENDS, "stub", StubBackend())
-    yield "stub"
-    kernels.set_default_backend(None)
-
 
 @pytest.fixture(scope="module")
 def traced():
@@ -45,86 +24,22 @@ def traced():
 
 
 # ---------------------------------------------------------------------
-# Registry and selection
-# ---------------------------------------------------------------------
-
-class TestRegistry:
-    def test_stdlib_backends_registered(self):
-        expected = ("columnar", "python") if kernels.HAVE_NUMPY \
-            else ("python",)
-        assert kernels.available_backends() == expected
-
-    def test_columnar_registered_iff_numpy(self):
-        registered = "columnar" in kernels.available_backends()
-        assert registered == kernels.HAVE_NUMPY
-
-    @needs_numpy
-    def test_columnar_selectable(self, monkeypatch):
-        assert kernels.get_backend("columnar").name == "columnar"
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        # An earlier engine-driven test may have pinned the env's
-        # backend process-wide; this test asserts *env* resolution.
-        kernels.set_default_backend(None)
-        try:
-            assert kernels.default_backend_name() == "columnar"
-        finally:
-            kernels.set_default_backend(None)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            kernels.get_backend("fortran")
-        with pytest.raises(KeyError):
-            kernels.set_default_backend("fortran")
-
-    def test_default_resolution_order(self, monkeypatch, stub_backend):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        kernels.set_default_backend(None)
-        assert kernels.default_backend_name() == "python"
-        monkeypatch.setenv("REPRO_BACKEND", stub_backend)
-        assert kernels.default_backend_name() == stub_backend
-        assert kernels.get_backend().name == stub_backend
-        # A pinned backend beats the environment.
-        kernels.set_default_backend("python")
-        try:
-            assert kernels.default_backend_name() == "python"
-        finally:
-            kernels.set_default_backend(None)
-
-    def test_unpinned_engine_drops_an_earlier_pin(self, monkeypatch,
-                                                 stub_backend):
-        """An engine whose config leaves ``backend`` empty restores
-        env/default resolution instead of inheriting the backend an
-        earlier engine pinned."""
-        from repro.harness.engine import Engine, EngineConfig
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        Engine(EngineConfig(cache=False, backend=stub_backend))
-        assert kernels.default_backend_name() == stub_backend
-        Engine(EngineConfig(cache=False))
-        assert kernels.default_backend_name() == "python"
-
-
-# ---------------------------------------------------------------------
-# Kernel equivalence (fused vs granular, across backends)
+# Kernel equivalence (fused vs granular)
 # ---------------------------------------------------------------------
 
 class TestKernels:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_decode_column_matches_accessor(self, name, traced):
+    def test_decode_column_matches_accessor(self, traced):
         trace, _analysis = traced
-        backend = kernels.get_backend(name)
-        sidx = backend.static_indices(trace)
+        sidx = kernels.static_indices(trace)
         assert list(sidx) == [trace.static_index(i)
                               for i in range(len(trace))]
 
-    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("track_stores", (True, False))
-    def test_fused_matches_analysis(self, name, track_stores, traced):
+    def test_fused_matches_analysis(self, track_stores, traced):
         trace, _analysis = traced
         analysis = analyze_deadness(trace, track_stores=track_stores)
         decoded = kernels.decode(trace)
-        fused = kernels.get_backend(name).fused(
-            decoded, track_stores=track_stores)
+        fused = kernels.fused(decoded, track_stores=track_stores)
         columns = fused.deadness
         assert columns.dead == analysis.dead
         assert columns.direct == analysis.direct
@@ -133,15 +48,13 @@ class TestKernels:
         assert columns.n_direct == analysis.n_direct
         assert columns.n_dead_stores == analysis.n_dead_stores
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_fused_matches_granular_kernels(self, name, traced):
+    def test_fused_matches_granular_kernels(self, traced):
         trace, analysis = traced
-        backend = kernels.get_backend(name)
         decoded = kernels.decode(trace)
-        fused = backend.fused(decoded)
-        deadness = backend.deadness(decoded)
-        kills = backend.kill_distances(decoded, deadness.dead)
-        counts = backend.static_counts(decoded, deadness.dead)
+        fused = kernels.fused(decoded)
+        deadness = kernels.deadness(decoded)
+        kills = kernels.kill_distances(decoded, deadness.dead)
+        counts = kernels.static_counts(decoded, deadness.dead)
         assert fused.deadness.dead == deadness.dead
         assert fused.kills.distances == kills.distances
         assert fused.kills.unkilled == kills.unkilled
@@ -157,12 +70,10 @@ class TestKernels:
         assert stats.distances == fused.kills.distances
         assert stats.unkilled == fused.kills.unkilled
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_prediction_stream_mirrors_eligibility(self, name, traced):
+    def test_prediction_stream_mirrors_eligibility(self, traced):
         trace, analysis = traced
         decoded = kernels.decode(trace)
-        stream = kernels.get_backend(name).prediction_stream(
-            decoded, analysis.dead)
+        stream = kernels.prediction_stream(decoded, analysis.dead)
         eligible = analysis.statics.eligible
         is_cond = analysis.statics.is_cond_branch
         expected_eligible = [i for i in range(len(trace))
@@ -186,13 +97,12 @@ class TestKernels:
         first = kernels.prediction_stream_for(analysis)
         assert kernels.prediction_stream_for(analysis) is first
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_frontend_columns_match_statics(self, name, traced):
+    def test_frontend_columns_match_statics(self, traced):
         trace, analysis = traced
         statics = analysis.statics
         fu = _classify_fu(statics)
         decoded = kernels.decode(trace)
-        front = kernels.get_backend(name).frontend(decoded, fu)
+        front = kernels.frontend(decoded, fu)
         n = len(trace)
         sidx = decoded.sidx
         assert front.dest == [statics.dest[s] for s in sidx]
@@ -209,13 +119,10 @@ class TestKernels:
         assert front.cond_prefix == [sum(conds[:i])
                                      for i in range(n + 1)]
 
-    @needs_numpy
     def test_frontend_element_types_are_plain(self, traced):
-        trace, _analysis = traced
-        statics = analyze_deadness(trace).statics
+        trace, analysis = traced
         decoded = kernels.decode(trace)
-        front = kernels.get_backend("columnar").frontend(
-            decoded, _classify_fu(statics))
+        front = kernels.frontend(decoded, _classify_fu(analysis.statics))
         assert type(front.dest[0]) is int
         assert type(front.is_load[0]) is bool
         assert type(front.cond_prefix[-1]) is int
@@ -230,9 +137,8 @@ class TestPassTimings:
         trace, analysis = traced
         kernels.reset_pass_totals()
         decoded = kernels.decode(trace)
-        kernels.get_backend("python").fused(decoded)
-        kernels.get_backend("python").prediction_stream(
-            decoded, analysis.dead)
+        kernels.fused(decoded)
+        kernels.prediction_stream(decoded, analysis.dead)
         totals = kernels.pass_totals()
         assert totals["fused"]["calls"] == 1
         assert totals["fused"]["items"] == len(trace)
@@ -248,26 +154,22 @@ class TestPassTimings:
 
 class TestNumpyFallback:
     def test_fallback_without_numpy(self, tmp_path):
-        """With NumPy unimportable the registry must come up with only
-        the ``python`` backend, ``HAVE_NUMPY`` false, and the kernels
-        still working — proved in a subprocess whose ``sys.path``
-        front is a stub ``numpy`` that refuses to import."""
+        """With NumPy unimportable the kernel layer must import and
+        run — proved in a subprocess whose ``sys.path`` front is a
+        stub ``numpy`` that refuses to import."""
         (tmp_path / "numpy.py").write_text(
             "raise ImportError('stubbed out for the fallback test')\n")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), src))
-        env.pop("REPRO_BACKEND", None)
         script = (
             "from repro import kernels\n"
-            "assert not kernels.HAVE_NUMPY\n"
-            "assert 'columnar' not in kernels.available_backends()\n"
             "assert kernels.default_backend_name() == 'python'\n"
             "from repro.workloads import get_workload\n"
             "_, trace = get_workload('sort').run(scale=0.1)\n"
             "decoded = kernels.decode(trace)\n"
-            "fused = kernels.get_backend().fused(decoded)\n"
+            "fused = kernels.fused(decoded)\n"
             "assert fused.deadness.n_dead > 0\n"
             "print('fallback-ok')\n")
         result = subprocess.run([sys.executable, "-c", script],

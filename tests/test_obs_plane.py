@@ -244,12 +244,12 @@ class TestWorkerParity:
 
 
 def _record(run_id="r1", wall=1.0, pass_seconds=0.01, items=1000,
-            experiments=("F7",), backend="python"):
+            experiments=("F7",)):
     run_doc = {
         "run_id": run_id,
         "started_at": "2026-08-08T00:00:00",
         "argv": list(experiments),
-        "engine": {"backend": backend, "jobs": 1},
+        "engine": {"jobs": 1},
         "experiments": [{"id": name} for name in experiments],
         "totals": {"wall_s": wall, "instructions": 123,
                    "stages": {"trace": {"hits": 1, "misses": 2,
@@ -292,8 +292,25 @@ class TestHistory:
             obs_history.fingerprint(_record("other"))
         assert obs_history.fingerprint(_record()) != \
             obs_history.fingerprint(_record(experiments=("F8",)))
-        assert obs_history.fingerprint(_record()) != \
-            obs_history.fingerprint(_record(backend="columnar"))
+
+    def test_committed_baseline_matches_a_fresh_record(self, tmp_path):
+        """``scripts/obs_scrape_check.py`` gates a fresh F7+F8 run at
+        scale 0.3 against ``results/obs-baseline.jsonl``; the gate only
+        compares records whose fingerprints are equal."""
+        from repro.harness.cli import main
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(
+            __file__)))
+        committed, skipped = obs_history.load_history(
+            os.path.join(root, "results", "obs-baseline.jsonl"))
+        assert skipped == 0 and len(committed) == 1
+        cache = str(tmp_path / "cache")
+        assert main(["F7", "F8", "--scale", "0.3",
+                     "--cache-dir", cache]) == 0
+        fresh, _ = obs_history.load_history(
+            obs_history.history_path(cache))
+        assert obs_history.fingerprint(fresh[-1]) == \
+            obs_history.fingerprint(committed[0]) == "F7,F8|0.3"
 
     def test_regress_flags_slowed_pass_and_wall(self):
         baseline = [_record("b%d" % i) for i in range(3)]
@@ -330,13 +347,13 @@ class TestHistory:
         registry = telemetry.registry
         for worker in ("0", "1"):
             registry.counter("repro_kernel_pass_total", "calls",
-                             kernel="decode", backend="python",
+                             kernel="decode",
                              worker=worker).inc(2)
             registry.counter("repro_kernel_pass_items_total", "items",
-                             kernel="decode", backend="python",
+                             kernel="decode",
                              worker=worker).inc(500)
             registry.histogram("repro_kernel_pass_seconds", "s",
-                               kernel="decode", backend="python",
+                               kernel="decode",
                                worker=worker).observe(0.25)
         table = obs_history.kernel_pass_table(telemetry)
         assert table["decode"]["calls"] == 4

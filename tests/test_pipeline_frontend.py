@@ -6,7 +6,7 @@ sparse control-flow walk) instead of per-instruction Python dispatch.
 The ``scalar`` mode is the retained reference path.  These tests pin
 the contract from docs/kernels.md: the two modes produce *identical*
 results — same cycles, same stats, same timelines — on every config
-shape the pipeline supports, for every registered kernel backend.
+shape the pipeline supports.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pickle
 
 import pytest
 
-from repro import kernels
 from repro.analysis import analyze_deadness
 from repro.pipeline import default_config, simulate
 from repro.workloads import get_workload
@@ -54,19 +53,6 @@ def test_block_matches_scalar(label, overrides, traced):
     scalar = simulate(trace, config, analysis, frontend="scalar")
     block = simulate(trace, config, analysis, frontend="block")
     assert _doc(scalar) == _doc(block)
-
-
-@pytest.mark.parametrize("name", ["python"] + (
-    ["columnar"] if kernels.HAVE_NUMPY else []))
-def test_block_identical_across_backends(name, traced, monkeypatch):
-    """The block front end's column source is whatever backend is
-    active; every backend must drive it to the same cycle counts."""
-    trace, analysis = traced
-    config = default_config(eliminate=True)
-    reference = simulate(trace, config, analysis, frontend="scalar")
-    monkeypatch.setenv("REPRO_BACKEND", name)
-    block = simulate(trace, config, analysis, frontend="block")
-    assert _doc(reference) == _doc(block)
 
 
 def test_frontend_env_and_validation(traced, monkeypatch):

@@ -9,25 +9,14 @@ rendered to Mini-C source and interpreted directly in Python with
    interpretation (compiler + assembler + emulator correctness);
 2. replaying the -O2 trace with every analysis-dead instruction
    skipped reproduces the output (deadness-analysis soundness on
-   arbitrary programs, not just the curated suite);
-3. every registered kernel backend's outputs — decode column, fused
-   deadness/kill-distance/locality columns, prediction stream,
-   front-end columns — are byte-identical (pickle-equal, so element
-   types included) to the ``python`` reference on arbitrary programs
-   (``columnar`` whenever NumPy is importable).  This is what lets the
-   engine's cache keys leave the backend out: a backend switch reuses
-   every cached entry.
+   arbitrary programs, not just the curated suite).
 """
-
-import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.analysis import analyze_deadness, replay_trace
 from repro.emulator import run_program
 from repro.lang import CompilerOptions, compile_to_program
-from repro.pipeline.core import _classify_fu
 from repro.workloads.generate import (
     PROGRAM_VARS as _VARS,
     interpret_program as _interpret,
@@ -100,56 +89,3 @@ def test_random_programs_deadness_is_sound(stmts):
     analysis = analyze_deadness(trace)
     assert replay_trace(trace, skip=analysis.dead) == machine.output, \
         source
-
-
-def _kernel_doc(backend, trace, statics, dead):
-    """Every kernel output of one backend, as one picklable value."""
-    decoded = kernels.DecodedTrace(trace, statics,
-                                   backend.static_indices(trace))
-    fused = backend.fused(decoded)
-    loose = backend.fused(decoded, track_stores=False)
-    stream = backend.prediction_stream(decoded, dead)
-    kills = backend.kill_distances(decoded, dead)
-    counts = backend.static_counts(decoded, dead)
-    fu = _classify_fu(statics)
-    front = backend.frontend(decoded, fu)
-    return (
-        list(decoded.sidx),
-        fused.deadness.dead, fused.deadness.direct,
-        (fused.deadness.n_eligible, fused.deadness.n_dead,
-         fused.deadness.n_direct, fused.deadness.n_dead_stores),
-        fused.kills.distances, fused.kills.unkilled,
-        fused.kills.by_provenance,
-        fused.counts.totals, fused.counts.deads,
-        loose.deadness.dead, loose.deadness.n_dead,
-        kills.distances, kills.unkilled, kills.by_provenance,
-        counts.totals, counts.deads,
-        stream.eligible_index, stream.eligible_pc,
-        stream.eligible_dead, stream.branch_index, stream.branch_taken,
-        front.dest, front.src1, front.src2, front.is_load,
-        front.is_store, front.eligible, front.fu,
-        front.control_index, front.cond_prefix,
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(programs)
-def test_random_programs_backends_byte_identical(stmts):
-    source = _render_program(stmts)
-    program = compile_to_program(source, CompilerOptions(opt_level=2))
-    _machine, trace = run_program(program, max_steps=2_000_000)
-    analysis = analyze_deadness(trace)
-    reference = _kernel_doc(kernels.get_backend("python"), trace,
-                            analysis.statics, analysis.dead)
-    # pickle equality covers element types too (bool vs int labels),
-    # which is the backend contract's definition of byte-identical;
-    # every registered backend (``columnar`` included when NumPy is
-    # importable) is held to it.
-    candidates = [name for name in kernels.available_backends()
-                  if name != "python"]
-    assert ("columnar" in candidates) == kernels.HAVE_NUMPY
-    for name in candidates:
-        candidate = _kernel_doc(kernels.get_backend(name), trace,
-                                analysis.statics, analysis.dead)
-        assert pickle.dumps(reference) == pickle.dumps(candidate), \
-            (name, source)
