@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -11,12 +12,18 @@ KEYWORDS = frozenset(
     ["int", "void", "if", "else", "while", "for", "return", "break",
      "continue"])
 
-# Multi-character operators first so maximal munch works.
 OPERATORS = (
     "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
+# Maximal munch: try the two-character slice, then the one character.
+_TWO_CHAR_OPERATORS = frozenset(op for op in OPERATORS if len(op) == 2)
+_ONE_CHAR_OPERATORS = frozenset(op for op in OPERATORS if len(op) == 1)
+
+# ASCII only: str.isalpha()/isalnum() admit Unicode letters, which the
+# assembler cannot take as labels.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -78,22 +85,22 @@ def _tokens(source: str) -> Iterator[Token]:
                 position += 1
             yield Token("num", int(source[start:position]), line)
             continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] == "_"):
-                position += 1
-            name = source[start:position]
+        identifier = _IDENTIFIER.match(source, position)
+        if identifier is not None:
+            name = identifier.group()
+            position = identifier.end()
             if name in KEYWORDS:
                 yield Token(name, name, line)
             else:
                 yield Token("ident", name, line)
             continue
-        for operator in OPERATORS:
-            if source.startswith(operator, position):
-                yield Token(operator, operator, line)
-                position += len(operator)
-                break
+        pair = source[position:position + 2]
+        if pair in _TWO_CHAR_OPERATORS:
+            yield Token(pair, pair, line)
+            position += 2
+        elif char in _ONE_CHAR_OPERATORS:
+            yield Token(char, char, line)
+            position += 1
         else:
             raise CompileError("unexpected character %r" % char, line)
     yield Token("eof", None, line)

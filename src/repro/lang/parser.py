@@ -1,4 +1,5 @@
-"""Recursive-descent parser for Mini-C.
+"""Recursive-descent parser for Mini-C, with precedence climbing for
+binary operators.
 
 Grammar (precedence from loosest to tightest)::
 
@@ -54,6 +55,10 @@ _BINARY_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+#: binary operator -> its index in _BINARY_LEVELS (higher binds tighter)
+_BINARY_PRECEDENCE = {operator: level
+                      for level, operators in enumerate(_BINARY_LEVELS)
+                      for operator in operators}
 
 
 class _Parser:
@@ -275,17 +280,18 @@ class _Parser:
     def _expr(self) -> ast.Expr:
         return self._binary(0)
 
-    def _binary(self, level: int) -> ast.Expr:
-        if level == len(_BINARY_LEVELS):
-            return self._unary()
-        operators = _BINARY_LEVELS[level]
-        left = self._binary(level + 1)
-        while self.current.kind in operators:
-            operator = self.advance()
+    def _binary(self, min_level: int) -> ast.Expr:
+        """Operators of level >= *min_level*, all left-associative."""
+        left = self._unary()
+        while True:
+            operator = self.current
+            level = _BINARY_PRECEDENCE.get(operator.kind)
+            if level is None or level < min_level:
+                return left
+            self.advance()
             right = self._binary(level + 1)
             left = ast.BinOp(line=operator.line, op=operator.kind,
                              left=left, right=right)
-        return left
 
     def _unary(self) -> ast.Expr:
         token = self.current

@@ -34,6 +34,18 @@ partial-deadness pattern: when both arms assign the same variable,
 ``d`` is not live-in to either arm, hoisting the first arm's assignment
 is safe (the other arm overwrites it), and every trip down the other
 arm manufactures a dead instance.
+
+Liveness is incremental.  The pass computes it once per function and
+reuses it from arm to arm until a hoist actually moves an instruction,
+since nothing else edits the function.  A hoist changes the use/def
+sets of exactly two blocks, the branch block and the arm, so only
+those two are rescanned; the fixpoint is then rerun from empty sets,
+which yields the least solution whatever the edit was.  A hoist can
+shrink live sets (the arm no longer reads the moved instruction's
+operands), and a fixpoint warm-started from the old solution is only
+guaranteed to be *a* solution, not the least one.  For the hoists this
+pass makes the two happen to coincide, but only by an argument about
+which sets can shrink; starting from empty sets needs no such argument.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from repro.lang.ir import (
     LoadGlobal,
     VReg,
 )
-from repro.lang.liveness import compute_liveness
+from repro.lang.liveness import block_use_def, compute_liveness
 
 #: Provenance tag attached to every hoisted instruction.
 SCHED_TAG = "sched"
@@ -89,6 +101,9 @@ def hoist_function(function: IRFunction,
     stats = ScheduleStats()
     blocks = function.block_map()
     predecessors = function.predecessors()
+    use_def = {block.label: block_use_def(block)
+               for block in function.blocks}
+    liveness = None
 
     for block in function.blocks:
         terminator = block.terminator
@@ -103,14 +118,18 @@ def hoist_function(function: IRFunction,
             if len(predecessors[arm_label]) != 1:
                 continue
             arm = blocks[arm_label]
-            # Liveness is recomputed per arm: each hoist changes the
-            # sets, and these functions are small enough that the
-            # quadratic cost is irrelevant.
-            liveness = compute_liveness(function)
+            if liveness is None:
+                liveness = compute_liveness(function, use_def)
             live_in_other = liveness.live_in[other_label]
             live_in_arm = liveness.live_in[arm_label]
             hoisted = _hoist_prefix(block, arm, branch_uses, live_in_other,
                                     live_in_arm, options)
+            if hoisted:
+                # Only these two blocks changed; the next arm reruns
+                # the fixpoint from empty sets (see the module notes).
+                use_def[block.label] = block_use_def(block)
+                use_def[arm_label] = block_use_def(arm)
+                liveness = None
             stats.instructions_hoisted += hoisted
     return stats
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.lang import compile_source
 from repro.lang.errors import CompileError
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import OPERATORS, Token, tokenize
 
 
 def kinds(source):
@@ -62,3 +63,54 @@ def test_unexpected_character():
 def test_eof_token():
     assert tokenize("")[-1].kind == "eof"
     assert tokenize("x")[-1].kind == "eof"
+
+
+@pytest.mark.parametrize("operator",
+                         [op for op in OPERATORS if len(op) == 2])
+def test_two_char_operator_is_one_token(operator):
+    tokens = tokenize("a%sb" % operator)
+    assert [(t.kind, t.value) for t in tokens[:-1]] == [
+        ("ident", "a"), (operator, operator), ("ident", "b")]
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("< <", ["<", "<"]),
+    ("> >", [">", ">"]),
+    ("= =", ["=", "="]),
+    ("& &", ["&", "&"]),
+    ("| |", ["|", "|"]),
+    ("! =", ["!", "="]),
+    ("<<=", ["<<", "="]),
+    ("<<<", ["<<", "<"]),
+    ("!==", ["!=", "="]),
+    ("&&&", ["&&", "&"]),
+    ("a<-1", ["ident", "<", "-", "num"]),
+])
+def test_maximal_munch_takes_two_chars_at_most(source, expected):
+    assert kinds(source)[:-1] == expected
+
+
+@pytest.mark.parametrize("char", ["$", "@", "#", "`", "?", ":", "\\", "'",
+                                  '"', "\u00f1", "\u00e9", "\u0663"])
+def test_unknown_character_names_its_line(char):
+    with pytest.raises(CompileError) as excinfo:
+        tokenize("a\nb %s c" % char)
+    assert excinfo.value.line == 2
+    assert repr(char) in str(excinfo.value)
+
+
+def test_identifiers_are_ascii():
+    tokens = tokenize("_a1 Zz_9")
+    assert [(t.kind, t.value) for t in tokens[:-1]] == [
+        ("ident", "_a1"), ("ident", "Zz_9")]
+    with pytest.raises(CompileError):
+        tokenize("caf\u00e9 = 1;")
+
+
+def test_non_ascii_function_name_is_a_compile_error():
+    """Used to slip through the lexer and fail in the assembler."""
+    source = ("int \u00f1() { return 1; }\n"
+              "int main() { return \u00f1(); }")
+    with pytest.raises(CompileError) as excinfo:
+        compile_source(source)
+    assert excinfo.value.line == 1

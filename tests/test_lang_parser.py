@@ -164,3 +164,102 @@ def test_error_has_line_number():
     with pytest.raises(CompileError) as excinfo:
         parse("void main() {\n  x = ;\n}")
     assert "line 2" in str(excinfo.value)
+
+
+# ----- binary precedence and associativity, against hand-built trees -----
+
+#: Mini-C's binary operators from loosest to tightest, one tuple per
+#: level (C's table without assignment, ternary and comma)
+LEVELS = (
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+
+
+def var(name):
+    return ast.Var(line=1, name=name)
+
+
+def binop(op, left, right):
+    return ast.BinOp(line=1, op=op, left=left, right=right)
+
+
+def unop(op, operand):
+    return ast.UnOp(line=1, op=op, operand=operand)
+
+
+def same_level_pairs():
+    return [(first, second) for level in LEVELS
+            for first in level for second in level]
+
+
+def level_pairs():
+    return [(LEVELS[loose], LEVELS[tight])
+            for loose in range(len(LEVELS))
+            for tight in range(loose + 1, len(LEVELS))]
+
+
+@pytest.mark.parametrize("first,second", same_level_pairs())
+def test_same_level_is_left_associative(first, second):
+    expr = parse_expr("a %s b %s c" % (first, second))
+    assert expr == binop(second, binop(first, var("a"), var("b")),
+                         var("c"))
+
+
+@pytest.mark.parametrize("loose,tight", level_pairs())
+def test_tighter_level_binds_first(loose, tight):
+    for loose_op in loose:
+        for tight_op in tight:
+            right = parse_expr("a %s b %s c" % (loose_op, tight_op))
+            assert right == binop(loose_op, var("a"),
+                                  binop(tight_op, var("b"), var("c")))
+            left = parse_expr("a %s b %s c" % (tight_op, loose_op))
+            assert left == binop(loose_op,
+                                 binop(tight_op, var("a"), var("b")),
+                                 var("c"))
+
+
+def test_long_chain_mixes_levels():
+    expr = parse_expr("a || b && c | d ^ e & f == g < h << i + j * k")
+    tail = binop("*", var("j"), var("k"))
+    for op, name in (("+", "i"), ("<<", "h"), ("<", "g"), ("==", "f"),
+                     ("&", "e"), ("^", "d"), ("|", "c"), ("&&", "b"),
+                     ("||", "a")):
+        tail = binop(op, var(name), tail)
+    assert expr == tail
+
+
+def test_parentheses_override_precedence():
+    assert parse_expr("(a + b) * c") == binop(
+        "*", binop("+", var("a"), var("b")), var("c"))
+    assert parse_expr("a - (b - c)") == binop(
+        "-", var("a"), binop("-", var("b"), var("c")))
+
+
+@pytest.mark.parametrize("op", [op for level in LEVELS for op in level])
+@pytest.mark.parametrize("unary", ["-", "!", "~"])
+def test_unary_binds_tighter_than_every_binary(unary, op):
+    expr = parse_expr("%s a %s %s b" % (unary, op, unary))
+    assert expr == binop(op, unop(unary, var("a")), unop(unary, var("b")))
+
+
+def test_unary_chain_and_operand_position():
+    assert parse_expr("a - -b") == binop("-", var("a"),
+                                         unop("-", var("b")))
+    assert parse_expr("!~-a * b") == binop(
+        "*", unop("!", unop("~", unop("-", var("a")))), var("b"))
+
+
+def test_operator_line_numbers_follow_the_operator():
+    program = parse("void main() { x = a\n+ b\n* c; } int x;")
+    expr = program.functions[0].body.statements[0].value
+    assert (expr.op, expr.line) == ("+", 2)
+    assert (expr.right.op, expr.right.line) == ("*", 3)

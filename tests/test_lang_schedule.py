@@ -155,3 +155,71 @@ def test_aggressive_hoisting_preserves_semantics():
         machine_base, _ = run_program(baseline)
         machine_opt, _ = run_program(optimized)
         assert machine_base.output == machine_opt.output
+
+
+# ----- incremental liveness: differential check against a fresh solve -----
+
+def _differential_sources():
+    from repro.workloads import get_workload, workload_names
+
+    names = workload_names() + [
+        "gen:s%d:n20:b%d:d%d:p%d" % (seed, (20, 40, 60, 40)[seed % 4],
+                                     10 + 20 * (seed % 3),
+                                     (50, 85, 100)[seed % 3])
+        for seed in range(1, 21)]
+    return [(name, get_workload(name).source(0.5 if "gen:" not in name
+                                             else 1.0))
+            for name in names]
+
+
+def test_incremental_liveness_matches_a_fresh_solve(monkeypatch):
+    """Every liveness solution the scheduler computes from its cached
+    per-block use/def sets, and every live-in set it consults before a
+    hoist, must equal a from-scratch ``compute_liveness(function)``."""
+    from repro.lang import liveness, schedule
+
+    real_compute = schedule.compute_liveness
+    real_hoist_function = schedule.hoist_function
+    real_hoist_prefix = schedule._hoist_prefix
+    current = {}
+    counts = {"solves": 0, "prefixes": 0, "hoists": 0}
+
+    def checked_compute(function, *args, **kwargs):
+        result = real_compute(function, *args, **kwargs)
+        fresh = liveness.compute_liveness(function)
+        assert result.live_in == fresh.live_in, current["name"]
+        assert result.live_out == fresh.live_out, current["name"]
+        counts["solves"] += 1
+        return result
+
+    def tracked_function(function, options):
+        current["function"] = function
+        return real_hoist_function(function, options)
+
+    def checked_prefix(block, arm, branch_uses, live_in_other, live_in_arm,
+                       options):
+        fresh = liveness.compute_liveness(current["function"])
+        terminator = block.terminator
+        other = (terminator.if_false if arm.label == terminator.if_true
+                 else terminator.if_true)
+        assert live_in_arm == fresh.live_in[arm.label], current["name"]
+        assert live_in_other == fresh.live_in[other], current["name"]
+        hoisted = real_hoist_prefix(block, arm, branch_uses, live_in_other,
+                                    live_in_arm, options)
+        counts["prefixes"] += 1
+        counts["hoists"] += hoisted > 0
+        return hoisted
+
+    monkeypatch.setattr(schedule, "compute_liveness", checked_compute)
+    monkeypatch.setattr(schedule, "hoist_function", tracked_function)
+    monkeypatch.setattr(schedule, "_hoist_prefix", checked_prefix)
+    for name, source in _differential_sources():
+        current["name"] = name
+        for options in (ScheduleOptions(),
+                        ScheduleOptions(max_hoist=8, hoist_loads=True)):
+            hoist_module(lower_program(parse(source)), options)
+    # The check must have seen real work: many solves, and hoists that
+    # forced re-solves rather than one solve per function.
+    assert counts["hoists"] > 100
+    assert counts["solves"] > counts["hoists"] // 2
+    assert counts["prefixes"] > counts["solves"]
