@@ -5,8 +5,8 @@ structure, this file characterizes the per-pass kernel timings behind
 the block front end: a cold and a hot per-pass table (the
 ``kernel:<pass>`` spans — fused, prediction stream, front-end columns,
 static-index decode), the fused pass plus the pipeline front-end pass
-over one decoded table (``hot_path_s``), and the simulator wall time in
-``scalar`` and ``block`` front-end modes.
+over one decoded table (``hot_path_s``), and the simulator wall time
+(``simulate_s``).
 
 Run with ``pytest benchmarks/``; ``BENCH_pipeline.json`` is rewritten
 at the repo root, next to ``BENCH_kernels.json``.  See
@@ -104,13 +104,10 @@ def test_perf_pipeline_passes(benchmark, traced):
         "cold_passes": _pass_table(trace, analysis, fu, hot=False),
         "hot_passes": _pass_table(trace, analysis, fu, hot=True),
         "hot_path_s": round(_hot_path_seconds(trace, analysis, fu), 6),
-        "simulate": {},
+        "simulate_s": round(_median_of(
+            lambda: simulate(trace, config, analysis),
+            rounds=3, warmup=1), 6),
     }
-    for mode in ("scalar", "block"):
-        doc["simulate"][mode] = round(_median_of(
-            lambda mode=mode: simulate(trace, config, analysis,
-                                       frontend=mode),
-            rounds=3, warmup=1), 6)
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_pipeline.json"), "w") as stream:

@@ -75,7 +75,6 @@ __all__ = [
     "EngineConfig",
     "configure",
     "get_engine",
-    "install",
     "reset_engine",
 ]
 
@@ -1257,17 +1256,6 @@ def configure(config: EngineConfig) -> Engine:
     """Install a fresh engine with *config* (CLI and benchmarks)."""
     global _ENGINE
     _ENGINE = Engine(config)
-    return _ENGINE
-
-
-def install(engine: Engine) -> Engine:
-    """Install an already-built engine as the process singleton.  The
-    experiment service uses this: jobs execute through the ordinary
-    :func:`get_engine`-resolving paths, and every client must hit the
-    service's one engine (one stage cache, one pool, one stats block),
-    not a second freshly-configured one."""
-    global _ENGINE
-    _ENGINE = engine
     return _ENGINE
 
 

@@ -71,15 +71,30 @@ class ObsConfig:
     timeline_capacity: int = 512
 
 
+def _env_int(name: str, default: str, minimum: int) -> int:
+    text = os.environ.get(name, default)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(
+            "%s must be an integer, got %r" % (name, text))
+    if value < minimum:
+        raise ValueError(
+            "%s must be >= %d, got %r" % (name, minimum, text))
+    return value
+
+
 def obs_config_from_env() -> Optional[ObsConfig]:
-    """An :class:`ObsConfig` from ``REPRO_OBS`` (None when unset/0)."""
+    """An :class:`ObsConfig` from ``REPRO_OBS`` (None when unset/0).
+    A malformed or out-of-range ``REPRO_OBS_INTERVAL`` (< 1) or
+    ``REPRO_OBS_CAPACITY`` (< 2) raises ``ValueError`` naming the
+    variable, before any simulation starts."""
     if os.environ.get("REPRO_OBS", "0") in ("0", ""):
         return None
     return ObsConfig(
         enabled=True,
-        sample_interval=int(os.environ.get("REPRO_OBS_INTERVAL", "256")),
-        timeline_capacity=int(os.environ.get("REPRO_OBS_CAPACITY",
-                                             "512")),
+        sample_interval=_env_int("REPRO_OBS_INTERVAL", "256", 1),
+        timeline_capacity=_env_int("REPRO_OBS_CAPACITY", "512", 2),
     )
 
 

@@ -5,16 +5,13 @@ Stage order within a cycle is commit -> issue -> rename -> fetch, so a
 resource freed at commit is available to rename in the same cycle
 (idealized but consistent across configurations).
 
-Front-end modes (``frontend=`` / ``REPRO_FRONTEND``): the default
-``block`` mode consumes pre-decoded column blocks from the kernel
-layer's ``frontend`` pass — the fetch buffer is a contiguous
-trace window advanced block-wise (next-stopper bisect + conditional
-prefix sums for the branch counters), rename reads per-dynamic gathered
+Front end: the core consumes pre-decoded column blocks from the kernel
+layer's ``frontend`` pass — the fetch buffer is a contiguous trace
+window advanced block-wise (next-stopper pointer + conditional prefix
+sums for the branch counters), rename reads per-dynamic gathered
 columns, and the gshare/RAS precomputation walks only control
-instructions.  ``scalar`` keeps the original per-instruction dispatch
-as the reference; both modes are cycle-exact equals (enforced by
-``tests/test_pipeline_frontend.py``) and share the commit / issue /
-recovery machinery, timeline sampling, and obs hooks unchanged.
+instructions.  ``tests/test_pipeline_golden.py`` pins every counter of
+600 runs against a recorded fixture.
 
 Rename-map conventions: ``rat[arch]`` holds an ``int`` physical
 register, or an :class:`InFlight` object when the architectural
@@ -80,7 +77,6 @@ register file.  The harness answers such requests without simulating
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -112,20 +108,19 @@ _NO_TOKENS = ()
 class InFlight:
     """One in-flight instruction (ROB entry)."""
 
-    __slots__ = ("seq", "tidx", "sidx", "pc", "fu", "srcs", "src_tokens",
+    __slots__ = ("seq", "tidx", "pc", "fu", "srcs", "src_tokens",
                  "token_readers", "arch_dest", "new_preg", "old_preg",
                  "is_load", "is_store", "mispredict", "eliminated",
                  "verified", "verifies", "verified_by", "done_at",
                  "squashed", "committed", "recovered", "stall_cycles",
                  "wake")
 
-    def __init__(self, seq: int, tidx: int, sidx: int, pc: int, fu: int,
+    def __init__(self, seq: int, tidx: int, pc: int, fu: int,
                  srcs: List[int], src_tokens, arch_dest: int, old_preg,
                  new_preg: Optional[int], is_load: bool, is_store: bool,
                  mispredict: bool, eliminated: bool):
         self.seq = seq
         self.tidx = tidx
-        self.sidx = sidx
         self.pc = pc
         self.fu = fu
         self.srcs = srcs
@@ -199,45 +194,11 @@ def _classify_fu(statics: StaticTable) -> List[int]:
     return fu
 
 
-def _control_flags(trace: Trace, statics: StaticTable,
-                   config: MachineConfig):
-    """Precompute, per dynamic instruction, whether it mispredicts and
-    whether it ends the fetch group (actual-taken control transfer)."""
-    gshare = GshareBranchPredictor(config.gshare_entries,
-                                   config.gshare_history)
-    ras = ReturnAddressStack(config.ras_depth)
-    pcs = trace.pcs
-    taken = trace.taken
-    n = len(pcs)
-    mispredict = [False] * n
-    ends_group = [False] * n
-    is_cond = statics.is_cond_branch
-    opcode = statics.opcode
-    sidx = trace.static_indices()
-    for i in range(n):
-        si = sidx[i]
-        if is_cond[si]:
-            outcome = taken[i]
-            predicted = gshare.predict_and_update(pcs[i], outcome)
-            mispredict[i] = predicted != outcome
-            ends_group[i] = outcome
-        elif statics.is_branch[si]:
-            ends_group[i] = True
-            op = opcode[si]
-            if op == Opcode.JAL:
-                ras.push(pcs[i] + 4)
-            elif op == Opcode.JALR:
-                actual_target = pcs[i + 1] if i + 1 < n else -1
-                mispredict[i] = not ras.predict_return(actual_target)
-    return mispredict, ends_group
-
-
 def _control_flags_sparse(trace: Trace, statics: StaticTable,
                           config: MachineConfig, columns):
-    """Sparse twin of :func:`_control_flags` for the block front end:
-    the gshare/RAS walk visits only control instructions (non-branches
-    never touch predictor state, so the prediction sequence is
-    identical to the full scan).  Returns the full per-dynamic
+    """Precompute the branch outcomes the front end sees.  The
+    gshare/RAS walk visits only control instructions (non-branches
+    never touch predictor state).  Returns the full per-dynamic
     mispredict flag column plus the ascending list of fetch *stoppers*
     — actual-taken control transfers and mispredicted branches, the
     indices where a fetch block must end."""
@@ -278,8 +239,7 @@ class Simulator:
     """Trace-driven out-of-order timing simulation of one run."""
 
     def __init__(self, trace: Trace, config: MachineConfig = None,
-                 analysis: DeadnessAnalysis = None,
-                 frontend: Optional[str] = None):
+                 analysis: DeadnessAnalysis = None):
         self.trace = trace
         self.config = config if config is not None else default_config()
         if analysis is None:
@@ -291,23 +251,11 @@ class Simulator:
         self.elimination: Optional[EliminationEngine] = None
         if self.config.eliminate:
             self.elimination = EliminationEngine(self.config, analysis)
-        self._fu_class = _classify_fu(self.statics)
-        if frontend is None:
-            frontend = os.environ.get("REPRO_FRONTEND") or "block"
-        if frontend not in ("block", "scalar"):
-            raise ValueError("unknown frontend mode: %r" % (frontend,))
-        self.frontend = frontend
-        if frontend == "block":
-            decoded = kernels.decode(trace, self.statics)
-            self._columns = kernels.frontend(decoded, self._fu_class)
-            self._mispredict, self._stops = _control_flags_sparse(
-                trace, self.statics, self.config, self._columns)
-            self._ends_group = None
-        else:
-            self._columns = None
-            self._stops = None
-            self._mispredict, self._ends_group = _control_flags(
-                trace, self.statics, self.config)
+        decoded = kernels.decode(trace, self.statics)
+        self._columns = kernels.frontend(decoded,
+                                         _classify_fu(self.statics))
+        self._mispredict, self._stops = _control_flags_sparse(
+            trace, self.statics, self.config, self._columns)
         #: cycle-sampled telemetry; None (the default) costs one
         #: ``is not None`` test per cycle in the main loop.
         self.timeline = new_timeline()
@@ -326,36 +274,23 @@ class Simulator:
         trace = self.trace
         config = self.config
         stats = self.stats
-        statics = self.statics
         pcs = trace.pcs
         addrs = trace.addrs
-        static_idx = trace.static_indices()
         n = len(pcs)
 
-        s_dest = statics.dest
-        s_src1 = statics.src1
-        s_src2 = statics.src2
-        s_eligible = statics.eligible
-        s_load = statics.is_load
-        s_store = statics.is_store
-        s_cond = statics.is_cond_branch
-        fu_class = self._fu_class
         latencies = self._latency
         mispredict_flags = self._mispredict
-        ends_group = self._ends_group
         columns = self._columns
-        use_block = columns is not None
-        if use_block:
-            f_dest = columns.dest
-            f_src1 = columns.src1
-            f_src2 = columns.src2
-            f_load = columns.is_load
-            f_store = columns.is_store
-            f_eligible = columns.eligible
-            f_fu = columns.fu
-            cond_prefix = columns.cond_prefix
-            stops = self._stops
-            n_stops = len(stops)
+        f_dest = columns.dest
+        f_src1 = columns.src1
+        f_src2 = columns.src2
+        f_load = columns.is_load
+        f_store = columns.is_store
+        f_eligible = columns.eligible
+        f_fu = columns.fu
+        cond_prefix = columns.cond_prefix
+        stops = self._stops
+        n_stops = len(stops)
         elim = self.elimination
         train_stores = config.eliminate_stores
         use_replay = config.recovery_mode == "replay"
@@ -446,9 +381,7 @@ class Simulator:
                                 self._flush(chain[0], rob, iq, rat,
                                             free_list)
                                 fq_head = fq_tail = chain[0].tidx
-                                if use_block:
-                                    stop_ptr = bisect_left(stops,
-                                                           fq_tail)
+                                stop_ptr = bisect_left(stops, fq_tail)
                                 fetch_resume = cycle + \
                                     config.recovery_penalty
                                 lsq_used = self._recount_lsq(rob)
@@ -480,8 +413,8 @@ class Simulator:
                     if not head.recovered:
                         if head.eliminated:
                             elim.note_success(head.pc)
-                        if s_eligible[head.sidx] or (
-                                train_stores and s_store[head.sidx]):
+                        if f_eligible[tidx] or (
+                                train_stores and head.is_store):
                             elim.train_commit(tidx, head.pc)
                     if not committed & 1023:
                         elim.decay_strikes()
@@ -561,24 +494,14 @@ class Simulator:
                     stalls_rob += 1
                     stall = 1
                     break
-                sidx = static_idx[tidx]
                 pc = pcs[tidx]
-                if use_block:
-                    is_load = f_load[tidx]
-                    is_store = f_store[tidx]
-                    dest = f_dest[tidx]
-                    src1 = f_src1[tidx]
-                    src2 = f_src2[tidx]
-                    eligible = f_eligible[tidx]
-                    fu = f_fu[tidx]
-                else:
-                    is_load = s_load[sidx]
-                    is_store = s_store[sidx]
-                    dest = s_dest[sidx]
-                    src1 = s_src1[sidx]
-                    src2 = s_src2[sidx]
-                    eligible = s_eligible[sidx]
-                    fu = fu_class[sidx]
+                is_load = f_load[tidx]
+                is_store = f_store[tidx]
+                dest = f_dest[tidx]
+                src1 = f_src1[tidx]
+                src2 = f_src2[tidx]
+                eligible = f_eligible[tidx]
+                fu = f_fu[tidx]
 
                 eliminated = False
                 if elim is not None:
@@ -650,8 +573,7 @@ class Simulator:
                         break
                     self._flush(chain[0], rob, iq, rat, free_list)
                     fq_head = fq_tail = chain[0].tidx
-                    if use_block:
-                        stop_ptr = bisect_left(stops, fq_tail)
+                    stop_ptr = bisect_left(stops, fq_tail)
                     fetch_resume = cycle + config.recovery_penalty
                     lsq_used = self._recount_lsq(rob)
                     flush_fired = True
@@ -667,7 +589,7 @@ class Simulator:
                         preg_allocs += 1
                 else:
                     old = preg = None
-                entry = InFlight(seq, tidx, sidx, pc, fu, srcs,
+                entry = InFlight(seq, tidx, pc, fu, srcs,
                                  src_tokens, dest, old, preg, is_load,
                                  is_store, mispredict_flags[tidx],
                                  eliminated)
@@ -708,48 +630,28 @@ class Simulator:
             # ---- fetch ----
             fetched_from = fq_tail
             if cycle >= fetch_resume and fq_tail < n:
-                if use_block:
-                    # One arithmetic step per cycle: the block runs to
-                    # the width/buffer/trace limit or through the next
-                    # stopper, whichever is nearest; branch counters
-                    # come from the conditional prefix sums.  stop_ptr
-                    # is monotone (re-bisected only on a flush).
-                    budget = fetch_width
-                    room = fetch_buffer_cap - (fq_tail - fq_head)
-                    if room < budget:
-                        budget = room
-                    if budget > 0:
-                        end = fq_tail + budget
-                        if end > n:
-                            end = n
-                        stop = stops[stop_ptr] if stop_ptr < n_stops \
-                            else n
-                        if stop < end:
-                            end = stop + 1
-                            stop_ptr += 1
-                            if mispredict_flags[stop]:
-                                branch_mispredicts += 1
-                                fetch_resume = _INF  # until it resolves
-                        branches += (cond_prefix[end]
-                                     - cond_prefix[fq_tail])
-                        fq_tail = end
-                else:
-                    fetched = 0
-                    while (fetched < fetch_width
-                           and fq_tail - fq_head < fetch_buffer_cap
-                           and fq_tail < n):
-                        tidx = fq_tail
-                        fq_tail += 1
-                        fetched += 1
-                        sidx = static_idx[tidx]
-                        if s_cond[sidx]:
-                            branches += 1
-                        if mispredict_flags[tidx]:
+                # One arithmetic step per cycle: the block runs to the
+                # width/buffer/trace limit or through the next stopper,
+                # whichever is nearest; branch counters come from the
+                # conditional prefix sums.  stop_ptr is monotone
+                # (re-bisected only on a flush).
+                budget = fetch_width
+                room = fetch_buffer_cap - (fq_tail - fq_head)
+                if room < budget:
+                    budget = room
+                if budget > 0:
+                    end = fq_tail + budget
+                    if end > n:
+                        end = n
+                    stop = stops[stop_ptr] if stop_ptr < n_stops else n
+                    if stop < end:
+                        end = stop + 1
+                        stop_ptr += 1
+                        if mispredict_flags[stop]:
                             branch_mispredicts += 1
                             fetch_resume = _INF  # until it resolves
-                            break
-                        if ends_group[tidx]:
-                            break
+                    branches += cond_prefix[end] - cond_prefix[fq_tail]
+                    fq_tail = end
 
             if timeline is not None and cycle >= timeline.next_due:
                 timeline.record(cycle, len(rob), len(iq), lsq_used,
@@ -941,12 +843,6 @@ class Simulator:
 
 
 def simulate(trace: Trace, config: MachineConfig = None,
-             analysis: DeadnessAnalysis = None,
-             frontend: Optional[str] = None) -> PipelineResult:
-    """Run *trace* through the timing model under *config*.
-
-    *frontend* selects the front-end mode (``"block"`` default,
-    ``"scalar"`` reference; see the module docstring) — both produce
-    identical results, cycle for cycle.
-    """
-    return Simulator(trace, config, analysis, frontend=frontend).run()
+             analysis: DeadnessAnalysis = None) -> PipelineResult:
+    """Run *trace* through the timing model under *config*."""
+    return Simulator(trace, config, analysis).run()

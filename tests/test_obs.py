@@ -4,6 +4,7 @@ logging, and the ``--obs`` / ``obs`` CLI round trip (ISSUE 3)."""
 import json
 import logging
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -335,6 +336,50 @@ def test_cli_obs_roundtrip(tmp_path, capsys):
     finally:
         obs.reset_obs()
         reset_engine()
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("REPRO_OBS_INTERVAL", "x",
+     "REPRO_OBS_INTERVAL must be an integer, got 'x'"),
+    ("REPRO_OBS_INTERVAL", "0", "REPRO_OBS_INTERVAL must be >= 1, got '0'"),
+    ("REPRO_OBS_CAPACITY", "many",
+     "REPRO_OBS_CAPACITY must be an integer, got 'many'"),
+    ("REPRO_OBS_CAPACITY", "1", "REPRO_OBS_CAPACITY must be >= 2, got '1'"),
+])
+def test_obs_env_knobs_name_the_variable(monkeypatch, name, text,
+                                         message):
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv(name, text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        obs.obs_config_from_env()
+
+
+def test_obs_env_knob_minimums_are_accepted(monkeypatch):
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_INTERVAL", "1")
+    monkeypatch.setenv("REPRO_OBS_CAPACITY", "2")
+    config = obs.obs_config_from_env()
+    assert (config.sample_interval, config.timeline_capacity) == (1, 2)
+    Timeline(config.sample_interval, config.timeline_capacity)
+
+
+def test_cli_rejects_bad_obs_interval_before_any_work(tmp_path,
+                                                      monkeypatch):
+    """``REPRO_OBS_INTERVAL=0`` stops the harness with the variable's
+    name before any stage runs, not inside the first simulation."""
+    from repro.harness.cli import main
+
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_INTERVAL", "0")
+    cache = tmp_path / "cache"
+    try:
+        with pytest.raises(ValueError, match="REPRO_OBS_INTERVAL"):
+            main(["F7", "--scale", "0.2", "--cache-dir", str(cache)])
+    finally:
+        obs.reset_obs()
+        reset_engine()
+    assert not (cache / "stages").exists()
+    assert not (cache / "runs").exists()
 
 
 def test_observed_f5_spans_each_predictor_walk(tmp_path, capsys):
